@@ -44,7 +44,8 @@ from .sim import ScenarioSpec, build_scenario, generate_series
 
 SCHEMA_VERSION = 1
 # Version 2: report segments give each block's fitted window [max(s-1, 1), e].
-REPORT_SCHEMA_VERSION = 2
+# Version 3: the cache object counts the block costs the zero test screened.
+REPORT_SCHEMA_VERSION = 3
 OUTDIR_ENV = "SEPPCHANGE_OUTDIR"
 
 EXIT_OK = 0

@@ -20,6 +20,21 @@ smallest change-point vector.  Block costs are memoized, and consecutive
 fits along a sweep share warm starts, which is what makes the O(T^2) scan
 affordable.  ``exhaustive_search`` enumerates every admissible partition
 through the same cost cache and exists to validate ``detect``.
+
+Most windows need no solver at all.  Zero lies strictly inside the row-norm
+ball, so by the KKT condition at A = 0 row m of the fit on window W is exactly
+zero iff
+
+    max_j | sum_{t in W} (e^v - X_m(t+1)) g_j(t) |  <=  lam * sqrt(|W|),
+
+the non-strict ``<=`` matching the soft-threshold, which maps a coordinate
+of magnitude exactly the threshold to zero.  When every row passes, the
+window's cost is the zero-matrix nll sum_{t in W} sum_m (e^v - v X_m(t+1))
+and the fit is skipped (the exact form of the safe and strong screening
+rules of El Ghaoui et al. 2010 and Tibshirani et al. 2012).  The sweep keeps
+the gradient at zero as one M x M running sum per start, extended by the new
+columns as the end advances, so screening adds O(M^2) memory, nothing that
+grows with T.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ChangePointSet, EventSeries, Interval, ModelConfig, induced_partition
-from .glm import SegmentFit, SolverOptions, _fit_kernel, fit_interval
+from .glm import SegmentFit, SolverOptions, _fit_kernel, design_matrices, fit_interval
 
 ENUMERATION_GUARD = 2**20
 
@@ -101,6 +116,8 @@ class CostCache:
     to one key meaning: regime blocks for detect() and exhaustive_search(),
     fitted intervals for interval_cost().  It refuses reuse under a different
     context, so detect() and exhaustive_search() can safely share one instance.
+    ``screened`` counts the block costs the sweep took from the zero test
+    instead of a fit; each of them is also counted as a miss.
     """
 
     def __init__(self, policy: str = "all", capacity: int = 0) -> None:
@@ -112,6 +129,7 @@ class CostCache:
         self._context: tuple | None = None
         self.hits = 0
         self.misses = 0
+        self.screened = 0
 
     def bind(self, context: tuple) -> None:
         if self._context is None:
@@ -135,7 +153,12 @@ class CostCache:
             self._data.popitem(last=False)
 
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._data)}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._data),
+            "screened": self.screened,
+        }
 
 
 def default_tuning(T: int, M: int, base: float = math.e) -> tuple[float, float]:
@@ -165,11 +188,14 @@ def _context(
     lam: float,
     solver: SolverOptions,
 ) -> tuple:
+    # The series is keyed on its content: an id() is reused once the array is
+    # garbage-collected, and would let a cache serve another series' costs.
+    counts = series.counts
     return (
         keys,
-        id(series.counts),
-        series.M,
-        series.T,
+        counts.shape,
+        counts.dtype.str,
+        counts.tobytes(),
         lam,
         config.v,
         config.clip,
@@ -242,28 +268,45 @@ def _sweep_costs(
 ) -> int:
     """Fill the cache with every admissible block cost; returns nonconverged count.
 
-    For each admissible start the ends are visited in increasing order and
-    each fit warm-starts from the previous one, so most solves need only a
+    For each admissible start the ends are visited in increasing order.  The
+    gradient of the nll at A = 0 over the current window, grad0, and its
+    zero-matrix nll, cost0, are running sums over the window's columns, so
+    advancing the end adds only the new columns: O(M^2) memory per start.  A
+    window with max|grad0| <= lam * sqrt(|W|) has the zero matrix as its exact
+    optimum (KKT at 0, see the module docstring) and costs cost0 without a
+    fit.  Any other window runs the solver, warm-started from the previous
+    window's fit (zero after a screened window), so most solves need only a
     few iterations.
     """
-    counts = series.counts
-    g_all = np.minimum(counts[:, :-1], config.clip).astype(np.float64)
-    xp_all = counts[:, 1:].astype(np.float64)
-    T = series.T
+    g_all, xp_all = design_matrices(series, config)
+    ev = math.exp(config.v)
+    zero_cols = (ev - config.v * xp_all).sum(axis=0)  # zero-matrix nll per column
+    T, M = series.T, series.M
     starts, ends = _grid_points(T, opts)
     solver = opts.solver
     nonconverged = 0
     for s in starts:
         warm = None
+        lo = _window(s, T).start
+        summed = lo - 1  # grad0 and cost0 hold the columns [lo - 1, summed)
+        grad0 = np.zeros((M, M))
+        cost0 = 0.0
         for e in ends:
             if e - s + 1 < opts.min_segment:
                 continue
             if cache.get((s, e)) is not None:
                 continue
-            lo = _window(s, e).start
+            grad0 += (ev - xp_all[:, summed : e - 1]) @ g_all[:, summed : e - 1].T
+            cost0 += float(zero_cols[summed : e - 1].sum())
+            summed = e - 1
+            thr = opts.lam * math.sqrt(e - lo + 1)
+            if np.abs(grad0).max() <= thr:
+                cache.screened += 1
+                warm = None
+                cache.put((s, e), (cost0, True, 0))
+                continue
             g = g_all[:, lo - 1 : e - 1]
             xp = xp_all[:, lo - 1 : e - 1]
-            thr = opts.lam * math.sqrt(e - lo + 1)
             A, f_rows, iters, converged, _ = _fit_kernel(
                 g, xp, config.v, thr, solver, warm
             )

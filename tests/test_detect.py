@@ -18,9 +18,12 @@ from seppchange import (
     exhaustive_search,
     generate_series,
     induced_partition,
+    fit_interval,
     interval_cost,
     nll,
+    nll_gradient,
 )
+from seppchange.detect import _window
 
 
 def random_instance(rng, T=None, m=None):
@@ -90,7 +93,7 @@ class TestIntervalCost:
         config = ModelConfig(v=0.0, clip=3.0)
         cache = CostCache()
         interval_cost(series, Interval(1, 10), 1.0, config, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1, "screened": 0}
         interval_cost(series, Interval(1, 10), 1.0, config, cache=cache)
         assert cache.stats()["hits"] == 1
 
@@ -214,6 +217,105 @@ class TestDetect:
             assert all(a >= b for a, b in zip(ks, ks[1:]))
 
 
+def zero_regime_series(T=12, m=3):
+    """A series whose only regime is A = 0: independent Poisson(e^v) counts."""
+    config = ModelConfig(v=0.3, clip=3.0)
+    seq = CoefficientSequence(((1, np.zeros((m, m))),))
+    return generate_series(seq, config, T, seed=21), config
+
+
+def mixed_series(T=14, m=3):
+    """A zero regime followed by a strongly self-exciting one."""
+    config = ModelConfig(v=0.2, clip=4.0)
+    excite = 0.9 * np.eye(m)
+    seq = CoefficientSequence(((1, np.zeros((m, m))), (T // 2 + 1, excite)))
+    return generate_series(seq, config, T, seed=22), config
+
+
+def admissible_blocks(T, min_segment):
+    """Every block [s, e] of a grid-1 search."""
+    return [(s, e) for s in range(1, T + 1) for e in range(s + min_segment - 1, T + 1)]
+
+
+def median_screen_lam(series, config):
+    """The median over windows of max|grad nll(0)| / sqrt|W|: about half screen."""
+    zero = np.zeros((series.M, series.M))
+    ratios = [
+        np.abs(nll_gradient(zero, series, Interval(lo, e), config)).max()
+        / math.sqrt(e - lo + 1)
+        for lo in range(1, series.T)
+        for e in range(lo + 1, series.T + 1)
+    ]
+    return float(np.median(ratios))
+
+
+class TestZeroScreen:
+    # Tight solver tolerance, so that warm-started sweep fits and cold fits
+    # agree to well within 1e-9 on the windows that are not screened.
+    SOLVER = SolverOptions(tol=1e-13)
+
+    def sweep_vs_cold(self, series, config, opts):
+        cache = CostCache()
+        rep = detect(series, config, opts, cache=cache)
+        blocks = admissible_blocks(series.T, opts.min_segment)
+        assert len(blocks) == cache.stats()["entries"]
+        for s, e in blocks:
+            swept = cache.get((s, e))[0]
+            cold = fit_interval(series, _window(s, e), opts.lam, config, self.SOLVER)
+            assert swept == pytest.approx(cold.cost, rel=1e-9), (s, e)
+        return rep, cache
+
+    def test_zero_regime_costs_equal_cold_fits(self):
+        series, config = zero_regime_series()
+        lam, gamma = default_tuning(series.T, series.M)
+        opts = DetectOptions(lam=lam, gamma=gamma, solver=self.SOLVER)
+        rep, cache = self.sweep_vs_cold(series, config, opts)
+        assert rep.change_points.points == ()
+
+    def test_default_tuning_screens_every_fit(self):
+        series, config = zero_regime_series()
+        lam, gamma = default_tuning(series.T, series.M)
+        rep = detect(series, config, DetectOptions(lam=lam, gamma=gamma))
+        assert rep.cache_stats["misses"] > 0
+        assert rep.cache_stats["screened"] == rep.cache_stats["misses"]
+        assert rep.nonconverged_fits == 0
+
+    def test_mixed_costs_equal_cold_fits(self):
+        series, config = mixed_series()
+        lam = median_screen_lam(series, config)
+        opts = DetectOptions(lam=lam, gamma=1.0, solver=self.SOLVER)
+        rep, cache = self.sweep_vs_cold(series, config, opts)
+        # both paths ran: some windows were screened, some were fitted
+        assert 0 < cache.screened < cache.stats()["entries"]
+        assert rep.nonconverged_fits == 0
+
+    def test_mixed_detect_equals_exhaustive(self):
+        series, config = mixed_series()
+        lam = median_screen_lam(series, config)
+        for gamma in (0.5, 2.0, 8.0):
+            opts = DetectOptions(lam=lam, gamma=gamma)
+            got = detect(series, config, opts)
+            want = exhaustive_search(series, config, opts)
+            assert 0 < got.cache_stats["screened"] < got.cache_stats["misses"]
+            assert got.change_points.points == want.change_points.points
+            assert got.total_objective == pytest.approx(want.total_objective, rel=1e-12)
+
+    def test_boundary_gradient_is_screened(self):
+        # Window [1, 4] of this series has grad nll(0) = sum (1 - X(t+1)) X(t)
+        # = -2 + 3 + 0 = 1 at v = 0, and lam * sqrt(4) = 1 at lam = 0.5: the
+        # soft-threshold maps that coordinate to zero, so the screen must too.
+        series = EventSeries(np.array([[1, 3, 0, 2]]))
+        config = ModelConfig(v=0.0, clip=5.0)
+        opts = DetectOptions(lam=0.5, gamma=1.0)
+        cache = CostCache()
+        detect(series, config, opts, cache=cache)
+        cold = fit_interval(series, Interval(1, 4), opts.lam, config)
+        assert not cold.matrix.any()
+        cost, converged, iterations = cache.get((1, 4))
+        assert iterations == 0 and converged
+        assert cost == pytest.approx(cold.cost, rel=1e-12)
+
+
 class TestGrid:
     def test_grid_one_equals_plain(self):
         rng = np.random.default_rng(10)
@@ -275,6 +377,42 @@ class TestCache:
         # never serves both
         with pytest.raises(ValueError):
             interval_cost(s1, Interval(2, 9), 1.0, c1, cache=cache)
+
+    def test_fresh_series_never_served_stale_costs(self):
+        # A context keyed on id(series.counts) matched a new series whose array
+        # reused a collected one's address, and returned its stale costs.
+        rng = np.random.default_rng(16)
+        config = ModelConfig(v=0.1, clip=3.0)
+        opts = DetectOptions(lam=0.5, gamma=0.5)
+        cache = CostCache()
+        for _ in range(30):
+            series = EventSeries(rng.integers(0, 4, size=(2, 10)))
+            try:
+                got = detect(series, config, opts, cache=cache)
+            except ValueError:
+                continue
+            want = detect(series, config, opts)
+            assert got.change_points.points == want.change_points.points
+            assert got.total_objective == want.total_objective
+
+    def test_context_follows_content(self):
+        rng = np.random.default_rng(17)
+        config = ModelConfig(v=0.1, clip=3.0)
+        opts = DetectOptions(lam=0.5, gamma=0.5)
+        counts = rng.integers(0, 4, size=(2, 10))
+        cache = CostCache()
+        first = detect(EventSeries(counts), config, opts, cache=cache)
+        # equal contents in a separate array share the context
+        again = detect(EventSeries(counts.copy()), config, opts, cache=cache)
+        assert again.change_points.points == first.change_points.points
+        assert again.cache_stats["misses"] == first.cache_stats["misses"]
+        # any different content is refused, however small the difference
+        changed = counts.copy()
+        changed[1, 7] += 1
+        with pytest.raises(ValueError):
+            detect(EventSeries(changed), config, opts, cache=cache)
+        with pytest.raises(ValueError):
+            detect(EventSeries(counts[:, :9]), config, opts, cache=cache)
 
     def test_lru_policy_matches_all(self):
         rng = np.random.default_rng(14)
