@@ -13,13 +13,14 @@ own, the same on both sides.
 Usage, from anywhere:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --tag zero_screen --pairs 10 [--workloads detect-default ...]
+        --tag zero_screen --pairs 10
 
-It writes ``BENCH_<tag>.json`` (into ``--out-dir``, default: the change
-checkout) with every run's result line and, per workload, each side's median
-and quartiles of every end-to-end metric, the change-to-parent ratio of the
-medians, and in how many pairs the change side was better.  The direction of
-"better" is read from the change checkout's ``BENCHMARK.json``.
+It runs every workload of the change checkout's ``BENCHMARK.json`` and writes
+``BENCH_<tag>.json`` into the change checkout, with every run's result line
+and, per workload, each side's median and quartiles of every end-to-end
+metric, the change-to-parent ratio of the medians, and in how many pairs the
+change side was better.  The direction of "better" is read from the same
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -104,8 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tag", required=True, help="output name: BENCH_<tag>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1)
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: all of BENCHMARK.json")
-    parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -116,9 +115,8 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    out_path = (args.out_dir or checkouts["change"]) / f"BENCH_{args.tag}.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    workloads = [w["name"] for w in spec["workloads"]]
+    out_path = checkouts["change"] / f"BENCH_{args.tag}.json"
 
     doc = {
         "tag": args.tag,

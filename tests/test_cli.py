@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from seppchange import EventSeries, generate_series, CoefficientSequence, ModelConfig
+from seppchange import CoefficientSequence, DetectOptions, EventSeries, ModelConfig, detect, generate_series
 from seppchange.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -211,6 +211,23 @@ class TestDetectCommand:
         first.pop("timing")
         second.pop("timing")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_report_matrix_zeros_are_integers(self, counts_csv, tmp_path):
+        out = tmp_path / "rep.json"
+        argv = ["detect", str(counts_csv), "--v", "0.3", "--clip", "4",
+                "--lambda", "2.0", "--gamma", "1.0", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        series = read_counts_csv(str(counts_csv))
+        rep = detect(series, ModelConfig(v=0.3, clip=4.0), DetectOptions(lam=2.0, gamma=1.0))
+        segments = load(out)["segments"]
+        assert len(segments) == len(rep.segments)
+        entries = []
+        for doc, seg in zip(segments, rep.segments):
+            assert np.array_equal(np.asarray(doc["matrix"], dtype=float), seg.matrix)
+            entries += [x for row in doc["matrix"] for x in row]
+        # exact zeros are the integer 0, every other entry keeps its float
+        assert all(type(x) is int and x == 0 or type(x) is float and x != 0 for x in entries)
+        assert 0 in entries and any(type(x) is float for x in entries)
 
 
 class TestEvaluateCommand:

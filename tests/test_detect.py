@@ -11,7 +11,9 @@ from seppchange import (
     EventSeries,
     Interval,
     ModelConfig,
+    ScenarioSpec,
     SolverOptions,
+    build_scenario,
     count_partitions,
     default_tuning,
     detect,
@@ -273,10 +275,14 @@ class TestZeroScreen:
         assert rep.change_points.points == ()
 
     def test_default_tuning_screens_every_fit(self):
-        series, config = zero_regime_series()
+        # Setting (a), rho = 0.35, seed 20260810, replication 0 (M = 30,
+        # T = 300): at lam = 90 ln(TM) every one of its 44,850 windows passes
+        # the zero test, so no window runs the solver.
+        seq, config, T = build_scenario(ScenarioSpec("a", rho=0.35))
+        series = generate_series(seq, config, T, seed=20260810, replication=0)
         lam, gamma = default_tuning(series.T, series.M)
         rep = detect(series, config, DetectOptions(lam=lam, gamma=gamma))
-        assert rep.cache_stats["misses"] > 0
+        assert rep.cache_stats["misses"] == T * (T - 1) // 2
         assert rep.cache_stats["screened"] == rep.cache_stats["misses"]
         assert rep.nonconverged_fits == 0
 
