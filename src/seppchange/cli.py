@@ -42,10 +42,15 @@ from .glm import SolverOptions
 from .metrics import EvalResult, aggregate, evaluate, table_cell
 from .sim import ScenarioSpec, build_scenario, generate_series
 
-SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 1
+# Version 2: the model object drops the history depth ``memory``.
+TRUTH_SCHEMA_VERSION = 2
 # Version 2: report segments give each block's fitted window [max(s-1, 1), e].
 # Version 3: the cache object counts the block costs the zero test screened.
-REPORT_SCHEMA_VERSION = 3
+# Version 4: the cache object counts the costs the bound alone screened
+# (``bounded``); ``options`` drops ``cache_policy`` and ``cache_capacity``, and
+# ``model`` drops ``memory``.
+REPORT_SCHEMA_VERSION = 4
 OUTDIR_ENV = "SEPPCHANGE_OUTDIR"
 
 EXIT_OK = 0
@@ -180,11 +185,11 @@ def truth_json(
     manifest: dict,
 ) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": TRUTH_SCHEMA_VERSION,
         "kind": "truth",
         "T": T,
         "M": seq.M,
-        "model": {"v": config.v, "clip": config.clip, "memory": config.memory},
+        "model": {"v": config.v, "clip": config.clip},
         "change_points": list(seq.change_points),
         "segments": [
             {"start": s, "matrix": _matrix_json(a)} for s, a in seq.segments
@@ -224,10 +229,8 @@ def report_json(series: EventSeries, config: ModelConfig, rep, manifest: dict) -
             "max_iter": opts.solver.max_iter,
             "beta": opts.solver.beta,
             "init_step": opts.solver.init_step,
-            "cache_policy": opts.cache_policy,
-            "cache_capacity": opts.cache_capacity,
         },
-        "model": {"v": config.v, "clip": config.clip, "memory": config.memory},
+        "model": {"v": config.v, "clip": config.clip},
         "cache": rep.cache_stats,
         "nonconverged_fits": rep.nonconverged_fits,
         "timing": {"wall_s": rep.wall_time_s},
@@ -237,7 +240,7 @@ def report_json(series: EventSeries, config: ModelConfig, rep, manifest: dict) -
 
 def metrics_json(result, estimate, truth, T: int, manifest: dict) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": METRICS_SCHEMA_VERSION,
         "kind": "metrics",
         "T": T,
         "hausdorff": result.hausdorff,
@@ -353,9 +356,11 @@ def cmd_detect(args, argv: list[str]) -> int:
         report_json(series, config, report, _manifest("detect", argv)),
     )
     cps = ",".join(str(p) for p in report.change_points.points) or "none"
+    bad = report.nonconverged_fits
+    note = f", {bad} fit{'s' if bad > 1 else ''} did not converge" if bad else ""
     print(
         f"change points: {cps}  (objective {report.total_objective:.6g}, "
-        f"{report.wall_time_s:.1f}s)"
+        f"{report.wall_time_s:.1f}s{note})"
     )
     return EXIT_OK
 

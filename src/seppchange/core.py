@@ -90,26 +90,21 @@ class EventSeries:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Fixed model parameters: intercept v, design clip level and history depth.
+    """Fixed model parameters: intercept v and design clip level.
 
-    ``v`` is the known intercept on the log-intensity scale, ``clip`` the
-    threshold applied coordinate-wise to counts inside the design function and
-    ``memory`` the history depth retained for the design function (the shipped
-    design function reads only the most recent observation, so values above 1
-    change nothing unless a custom design function is plugged in).
+    ``v`` is the known intercept on the log-intensity scale and ``clip`` the
+    threshold applied coordinate-wise to counts inside the design function,
+    which reads only the most recent observation.
     """
 
     v: float
     clip: float
-    memory: int = 1
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.v):
             raise ValueError("intercept v must be finite")
         if not (self.clip > 0):
             raise ValueError("clip must be positive")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
 
 
 @dataclass(frozen=True)

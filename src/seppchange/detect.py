@@ -25,16 +25,31 @@ Most windows need no solver at all.  Zero lies strictly inside the row-norm
 ball, so by the KKT condition at A = 0 row m of the fit on window W is exactly
 zero iff
 
-    max_j | sum_{t in W} (e^v - X_m(t+1)) g_j(t) |  <=  lam * sqrt(|W|),
+    max_j | sum_{t in W} r_m(t) g_j(t) |  <=  lam * sqrt(|W|),
+    r(t) = e^v - X(t+1),
 
 the non-strict ``<=`` matching the soft-threshold, which maps a coordinate
 of magnitude exactly the threshold to zero.  When every row passes, the
 window's cost is the zero-matrix nll sum_{t in W} sum_m (e^v - v X_m(t+1))
 and the fit is skipped (the exact form of the safe and strong screening
-rules of El Ghaoui et al. 2010 and Tibshirani et al. 2012).  The sweep keeps
-the gradient at zero as one M x M running sum per start, extended by the new
-columns as the end advances, so screening adds O(M^2) memory, nothing that
-grows with T.
+rules of El Ghaoui et al. 2010 and Tibshirani et al. 2012).
+
+The sweep settles each window by the cheapest test that can decide it:
+
+1. A bound.  Since g >= 0, every entry of the gradient at zero is at most
+   the row bound sum_t |r_m(t)| max_j g_j(t) and at most the column bound
+   sum_t max_m |r_m(t)| g_j(t).  Both are sums of non-negative terms, so
+   cumulative sums give them for every end of a start at once, in O(M T).
+   A window whose smaller bound, inflated by the slack 1 + 4 n eps for its
+   n columns, stays within lam * sqrt(|W|) is zero.  The slack exceeds the
+   rounding error of the bound and of the exact gradient together, so the
+   bound settles only windows that the exact test settles too.
+2. The exact test, on an M x M running sum of the gradient that takes the
+   columns since the last exact test in one matmul.
+3. The solver, for the windows that fail both.
+
+So the screened set, the warm-start chain and every cost are those of the
+exact test alone, and the sweep needs O(M T) memory per start.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from collections import OrderedDict
+from itertools import repeat
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,9 +74,7 @@ class DetectOptions:
 
     ``lam`` scales the per-interval l1 penalty, ``gamma`` is the per-block
     partition penalty.  ``grid`` restricts candidate segment starts to the
-    lattice {1, 1+grid, 1+2*grid, ...} (grid=1 searches every index).  The
-    cache policy is either ``"all"`` (keep every interval cost) or ``"lru"``
-    with a positive ``cache_capacity``.
+    lattice {1, 1+grid, 1+2*grid, ...} (grid=1 searches every index).
     """
 
     lam: float
@@ -69,8 +82,6 @@ class DetectOptions:
     min_segment: int = 2
     grid: int = 1
     solver: SolverOptions = field(default_factory=SolverOptions)
-    cache_policy: str = "all"
-    cache_capacity: int = 0
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -81,10 +92,6 @@ class DetectOptions:
             raise ValueError("min_segment must be >= 2")
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
-        if self.cache_policy not in ("all", "lru"):
-            raise ValueError("cache_policy must be 'all' or 'lru'")
-        if self.cache_policy == "lru" and self.cache_capacity < 1:
-            raise ValueError("lru cache needs a positive capacity")
 
 
 @dataclass(frozen=True)
@@ -116,20 +123,20 @@ class CostCache:
     to one key meaning: regime blocks for detect() and exhaustive_search(),
     fitted intervals for interval_cost().  It refuses reuse under a different
     context, so detect() and exhaustive_search() can safely share one instance.
+    Entries are (cost, converged, iterations) and are never evicted: the sweep
+    stores every block cost before the partition search reads one.
     ``screened`` counts the block costs the sweep took from the zero test
-    instead of a fit; each of them is also counted as a miss.
+    instead of a fit, and ``bounded`` those among them that the bound settled
+    without the exact test; each screened cost is also counted as a miss.
     """
 
-    def __init__(self, policy: str = "all", capacity: int = 0) -> None:
-        if policy not in ("all", "lru"):
-            raise ValueError("policy must be 'all' or 'lru'")
-        self.policy = policy
-        self.capacity = capacity
-        self._data: OrderedDict[tuple[int, int], tuple[float, bool, int]] = OrderedDict()
+    def __init__(self) -> None:
+        self._data: dict[tuple[int, int], tuple[float, bool, int]] = {}
         self._context: tuple | None = None
         self.hits = 0
         self.misses = 0
         self.screened = 0
+        self.bounded = 0
 
     def bind(self, context: tuple) -> None:
         if self._context is None:
@@ -143,14 +150,15 @@ class CostCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self.policy == "lru":
-            self._data.move_to_end(key)
         return entry
 
     def put(self, key: tuple[int, int], entry: tuple[float, bool, int]) -> None:
         self._data[key] = entry
-        if self.policy == "lru" and len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+
+    def cost(self, key: tuple[int, int]) -> float:
+        """The cost of a stored block; raises KeyError for a block never swept."""
+        self.hits += 1
+        return self._data[key][0]
 
     def stats(self) -> dict:
         return {
@@ -158,6 +166,7 @@ class CostCache:
             "misses": self.misses,
             "entries": len(self._data),
             "screened": self.screened,
+            "bounded": self.bounded,
         }
 
 
@@ -241,23 +250,7 @@ def _window(s: int, e: int) -> Interval:
     return Interval(max(s - 1, 1), e)
 
 
-def _cached_cost(
-    series: EventSeries,
-    config: ModelConfig,
-    opts: DetectOptions,
-    cache: CostCache,
-    s: int,
-    e: int,
-) -> float:
-    """Cost of block [s, e] from the cache, recomputing on an LRU eviction."""
-    entry = cache.get((s, e))
-    if entry is not None:
-        return entry[0]
-    fit = fit_interval(
-        series, _window(s, e), opts.lam, config, replace(opts.solver, init=None)
-    )
-    cache.put((s, e), (fit.cost, bool(fit.converged.all()), int(fit.iterations.max())))
-    return fit.cost
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _sweep_costs(
@@ -268,54 +261,93 @@ def _sweep_costs(
 ) -> int:
     """Fill the cache with every admissible block cost; returns nonconverged count.
 
-    For each admissible start the ends are visited in increasing order.  The
-    gradient of the nll at A = 0 over the current window, grad0, and its
-    zero-matrix nll, cost0, are running sums over the window's columns, so
-    advancing the end adds only the new columns: O(M^2) memory per start.  A
-    window with max|grad0| <= lam * sqrt(|W|) has the zero matrix as its exact
-    optimum (KKT at 0, see the module docstring) and costs cost0 without a
-    fit.  Any other window runs the solver, warm-started from the previous
-    window's fit (zero after a screened window), so most solves need only a
-    few iterations.
+    Each start is swept on its own, its ends in increasing order, through the
+    three levels of the module docstring:
+
+    * For all ends at once: the row and column bounds, as cumulative sums
+      over the start's columns, and the zero-matrix nll cost0.  cost0 adds
+      the columns between consecutive ends one chunk at a time, in the same
+      order whichever level settles the window.
+    * For each window the bound leaves open, in order: the exact test on
+      grad0, the gradient at zero, an M x M running sum that adds every
+      column since the previous open window in one matmul.
+    * For each window the exact test leaves open: the solver, warm-started
+      from the fit of the start's previous window if the solver ran there,
+      else from zero.
+
+    A start whose blocks are all cached is skipped; otherwise its blocks are
+    swept and only the missing ones are stored.
     """
     g_all, xp_all = design_matrices(series, config)
     ev = math.exp(config.v)
+    resid = ev - xp_all  # grad0 over window W is sum_{t in W} r(t) g(t)^T
     zero_cols = (ev - config.v * xp_all).sum(axis=0)  # zero-matrix nll per column
+    abs_r = np.abs(resid)
+    row_terms = abs_r * g_all.max(axis=0)  # |r_m(t)| max_j g_j(t)
+    col_terms = abs_r.max(axis=0) * g_all  # max_m |r_m(t)| g_j(t)
+    del abs_r
     T, M = series.T, series.M
     starts, ends = _grid_points(T, opts)
+    # chunks[k]: the zero-matrix nll of the columns between ends k-1 and k
+    chunks = np.array(
+        [0.0] + [zero_cols[a - 1 : b - 1].sum() for a, b in zip(ends, ends[1:])]
+    )
+    data = cache._data
     solver = opts.solver
     nonconverged = 0
+    first = 0  # ends[first] is the start's first admissible end
     for s in starts:
-        warm = None
+        while first < len(ends) and ends[first] - s + 1 < opts.min_segment:
+            first += 1
+        keys = list(zip(repeat(s), ends[first:]))
+        new = [key not in data for key in keys]
+        fresh = sum(new)
+        cache.hits += len(keys) - fresh
+        cache.misses += fresh
+        if not fresh:
+            continue
         lo = _window(s, T).start
-        summed = lo - 1  # grad0 and cost0 hold the columns [lo - 1, summed)
+        c0 = lo - 1  # window [lo, e] holds the columns [c0, e - 1)
+        n = np.asarray(ends[first:]) - lo  # columns per window
+        bound = np.minimum(
+            np.cumsum(row_terms[:, c0:], axis=1)[:, n - 1].max(axis=0),
+            np.cumsum(col_terms[:, c0:], axis=1)[:, n - 1].max(axis=0),
+        )
+        bounded = bound * (1.0 + 4.0 * n * _EPS) <= opts.lam * np.sqrt(n + 1)
+        cost0 = chunks[first:].copy()
+        cost0[0] = zero_cols[c0 : ends[first] - 1].sum()
+        entries = list(zip(np.cumsum(cost0).tolist(), repeat(True), repeat(0)))
+        n_bounded = int(np.count_nonzero(bounded & np.array(new)))
+        screened = n_bounded
+
         grad0 = np.zeros((M, M))
-        cost0 = 0.0
-        for e in ends:
-            if e - s + 1 < opts.min_segment:
-                continue
-            if cache.get((s, e)) is not None:
-                continue
-            grad0 += (ev - xp_all[:, summed : e - 1]) @ g_all[:, summed : e - 1].T
-            cost0 += float(zero_cols[summed : e - 1].sum())
+        summed = c0  # grad0 holds the columns [c0, summed)
+        warm, fitted = None, -1  # fitted: the last window the solver ran on
+        for k in np.flatnonzero(~bounded).tolist():
+            e = ends[first + k]
+            grad0 += resid[:, summed : e - 1] @ g_all[:, summed : e - 1].T
             summed = e - 1
             thr = opts.lam * math.sqrt(e - lo + 1)
             if np.abs(grad0).max() <= thr:
-                cache.screened += 1
-                warm = None
-                cache.put((s, e), (cost0, True, 0))
+                screened += new[k]
                 continue
-            g = g_all[:, lo - 1 : e - 1]
-            xp = xp_all[:, lo - 1 : e - 1]
+            g = g_all[:, c0 : e - 1]
+            xp = xp_all[:, c0 : e - 1]
             A, f_rows, iters, converged, _ = _fit_kernel(
-                g, xp, config.v, thr, solver, warm
+                g, xp, config.v, thr, solver, warm if fitted == k - 1 else None
             )
-            warm = A
+            warm, fitted = A, k
             cost = float(f_rows.sum()) + thr * float(np.abs(A).sum())
             ok = bool(converged.all())
-            if not ok:
+            if new[k] and not ok:
                 nonconverged += 1
-            cache.put((s, e), (cost, ok, int(iters.max())))
+            entries[k] = (cost, ok, int(iters.max()))
+        cache.bounded += n_bounded
+        cache.screened += screened
+        if fresh == len(keys):
+            data.update(zip(keys, entries))
+        else:
+            data.update(kv for kv, is_new in zip(zip(keys, entries), new) if is_new)
     return nonconverged
 
 
@@ -373,7 +405,7 @@ def detect(
     t0 = time.perf_counter()
     T = series.T
     if cache is None:
-        cache = CostCache(opts.cache_policy, opts.cache_capacity)
+        cache = CostCache()
     cache.bind(_context("block", series, config, opts.lam, opts.solver))
     nonconverged = _sweep_costs(series, config, opts, cache)
 
@@ -381,6 +413,7 @@ def detect(
         return _report(series, config, opts, (), cache, nonconverged, t0)
 
     starts, ends = _grid_points(T, opts)
+    cost, gamma = cache.cost, opts.gamma
     # B maps a covered prefix end to (objective, blocks, change points).
     B: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 0, ())}
     for e in ends:
@@ -391,8 +424,11 @@ def detect(
             prev = B.get(s - 1)
             if prev is None:
                 continue
-            cost = _cached_cost(series, config, opts, cache, s, e)
-            value = prev[0] + cost + opts.gamma
+            value = prev[0] + cost((s, e)) + gamma
+            # A larger value loses whatever follows, so only a candidate that
+            # can win or tie on value is built and compared in full.
+            if best is not None and value > best[0]:
+                continue
             cand = (value, prev[1] + 1, prev[2] + (s,) if s > 1 else prev[2])
             if best is None or cand < best:
                 best = cand
@@ -439,7 +475,7 @@ def exhaustive_search(
             f"({ENUMERATION_GUARD})"
         )
     if cache is None:
-        cache = CostCache(opts.cache_policy, opts.cache_capacity)
+        cache = CostCache()
     cache.bind(_context("block", series, config, opts.lam, opts.solver))
     nonconverged = _sweep_costs(series, config, opts, cache)
 
@@ -466,8 +502,12 @@ def exhaustive_search(
         for e in ends:
             if e - s + 1 < opts.min_segment:
                 continue
-            cost = _cached_cost(series, config, opts, cache, s, e)
             stack.append(
-                (e, value + cost + opts.gamma, k + 1, cps + (s,) if s > 1 else cps)
+                (
+                    e,
+                    value + cache.cost((s, e)) + opts.gamma,
+                    k + 1,
+                    cps + (s,) if s > 1 else cps,
+                )
             )
     return _report(series, config, opts, best[2], cache, nonconverged, t0)

@@ -98,7 +98,7 @@ class TestSimulateCommand:
         assert (series.M, series.T) == (30, 300)
         truth = load(out / "truth.json")
         assert truth["change_points"] == [151]
-        assert truth["model"] == {"v": 0.5, "clip": 6.0, "memory": 1}
+        assert truth["model"] == {"v": 0.5, "clip": 6.0}
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -211,6 +211,17 @@ class TestDetectCommand:
         first.pop("timing")
         second.pop("timing")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_summary_names_nonconverged_fits(self, counts_csv, tmp_path, capsys):
+        argv = ["detect", str(counts_csv), "--v", "0.3", "--clip", "4",
+                "--lambda", "0.5", "--gamma", "1.0", "-o", str(tmp_path / "rep.json")]
+        assert main(argv) == EXIT_OK
+        assert "converge" not in capsys.readouterr().out
+        assert main(argv + ["--max-iter", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        bad = load(tmp_path / "rep.json")["nonconverged_fits"]
+        assert bad > 1
+        assert out.rstrip().endswith(f", {bad} fits did not converge)")
 
     def test_report_matrix_zeros_are_integers(self, counts_csv, tmp_path):
         out = tmp_path / "rep.json"

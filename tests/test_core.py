@@ -56,10 +56,6 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(v=0.0, clip=0.0)
 
-    def test_rejects_zero_memory(self):
-        with pytest.raises(ValueError):
-            ModelConfig(v=0.0, clip=1.0, memory=0)
-
 
 class TestCoefficientSequence:
     def test_change_points_and_lookup(self):

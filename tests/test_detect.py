@@ -26,6 +26,7 @@ from seppchange import (
     nll_gradient,
 )
 from seppchange.detect import _window
+from seppchange.glm import _fit_kernel, design_matrices
 
 
 def random_instance(rng, T=None, m=None):
@@ -95,7 +96,9 @@ class TestIntervalCost:
         config = ModelConfig(v=0.0, clip=3.0)
         cache = CostCache()
         interval_cost(series, Interval(1, 10), 1.0, config, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1, "screened": 0}
+        assert cache.stats() == {
+            "hits": 0, "misses": 1, "entries": 1, "screened": 0, "bounded": 0
+        }
         interval_cost(series, Interval(1, 10), 1.0, config, cache=cache)
         assert cache.stats()["hits"] == 1
 
@@ -219,6 +222,61 @@ class TestDetect:
             assert all(a >= b for a, b in zip(ks, ks[1:]))
 
 
+def default_series():
+    """The benchmark's series: setting (a), rho = 0.35, seed 20260810, rep 0."""
+    seq, config, T = build_scenario(ScenarioSpec("a", rho=0.35))
+    return generate_series(seq, config, T, seed=20260810, replication=0), config
+
+
+def setting_b_series():
+    """A short setting (b) series (T = 90, M = 40)."""
+    seq, config, T = build_scenario(ScenarioSpec("b", T=90, seed=5))
+    return generate_series(seq, config, T, seed=5, replication=0), config
+
+
+def exact_rule_costs(series, config, opts):
+    """Block costs by the zero test alone: the per-window exact rule, no bound.
+
+    For each start, grad0 and cost0 are running sums extended by the columns
+    of each new end, every window runs the exact KKT test at zero, and the
+    windows that fail it run the solver, warm-started from the previous
+    window's fit (zero after a screened window).  Returns {(s, e): (cost,
+    converged, iterations)}; a screened window has 0 iterations.
+    """
+    g_all, xp_all = design_matrices(series, config)
+    ev = math.exp(config.v)
+    zero_cols = (ev - config.v * xp_all).sum(axis=0)
+    T, M = series.T, series.M
+    starts = list(range(1, T + 1, opts.grid))
+    ends = sorted({s - 1 for s in starts if s > 1} | {T})
+    out = {}
+    for s in starts:
+        warm = None
+        lo = max(s - 1, 1)
+        summed = lo - 1
+        grad0 = np.zeros((M, M))
+        cost0 = 0.0
+        for e in ends:
+            if e - s + 1 < opts.min_segment:
+                continue
+            grad0 += (ev - xp_all[:, summed : e - 1]) @ g_all[:, summed : e - 1].T
+            cost0 += float(zero_cols[summed : e - 1].sum())
+            summed = e - 1
+            thr = opts.lam * math.sqrt(e - lo + 1)
+            if np.abs(grad0).max() <= thr:
+                warm = None
+                out[(s, e)] = (cost0, True, 0)
+                continue
+            A, f_rows, iters, converged, _ = _fit_kernel(
+                g_all[:, lo - 1 : e - 1], xp_all[:, lo - 1 : e - 1], config.v, thr,
+                opts.solver, warm,
+            )
+            warm = A
+            cost = float(f_rows.sum()) + thr * float(np.abs(A).sum())
+            out[(s, e)] = (cost, bool(converged.all()), int(iters.max()))
+    return out
+
+
 def zero_regime_series(T=12, m=3):
     """A series whose only regime is A = 0: independent Poisson(e^v) counts."""
     config = ModelConfig(v=0.3, clip=3.0)
@@ -277,13 +335,14 @@ class TestZeroScreen:
     def test_default_tuning_screens_every_fit(self):
         # Setting (a), rho = 0.35, seed 20260810, replication 0 (M = 30,
         # T = 300): at lam = 90 ln(TM) every one of its 44,850 windows passes
-        # the zero test, so no window runs the solver.
-        seq, config, T = build_scenario(ScenarioSpec("a", rho=0.35))
-        series = generate_series(seq, config, T, seed=20260810, replication=0)
+        # the zero test, so no window runs the solver, and the bound alone
+        # settles some of them.
+        series, config = default_series()
         lam, gamma = default_tuning(series.T, series.M)
         rep = detect(series, config, DetectOptions(lam=lam, gamma=gamma))
-        assert rep.cache_stats["misses"] == T * (T - 1) // 2
-        assert rep.cache_stats["screened"] == rep.cache_stats["misses"]
+        stats = rep.cache_stats
+        assert stats["misses"] == series.T * (series.T - 1) // 2
+        assert 0 < stats["bounded"] <= stats["screened"] == stats["misses"]
         assert rep.nonconverged_fits == 0
 
     def test_mixed_costs_equal_cold_fits(self):
@@ -305,6 +364,57 @@ class TestZeroScreen:
             assert 0 < got.cache_stats["screened"] < got.cache_stats["misses"]
             assert got.change_points.points == want.change_points.points
             assert got.total_objective == pytest.approx(want.total_objective, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [1, 7])
+    @pytest.mark.parametrize("case", ["default", "setting_b", "mixed", "zero_regime"])
+    def test_bound_screen_equals_exact_rule(self, case, grid):
+        # The bound may settle a window only where the exact test settles it
+        # too, so the screened set, the warm starts of the fitted windows and
+        # therefore every cost, flag and iteration count are the exact rule's.
+        # On the zero-regime series some starts run the solver, screen a
+        # window and run the solver again, which must then start from zero.
+        if case in ("mixed", "zero_regime"):
+            series, config = mixed_series() if case == "mixed" else zero_regime_series(T=16)
+            lam = median_screen_lam(series, config)
+        else:
+            series, config = default_series() if case == "default" else setting_b_series()
+            lam = default_tuning(series.T, series.M)[0]
+        opts = DetectOptions(lam=lam, gamma=1.0, grid=grid)
+        want = exact_rule_costs(series, config, opts)
+        cache = CostCache()
+        detect(series, config, opts, cache=cache)
+        got = {key: cache.get(key) for key in want}
+        assert cache.stats()["entries"] == len(want)
+        assert {k for k, v in got.items() if v[2] == 0} == {
+            k for k, v in want.items() if v[2] == 0
+        }
+        assert 0 < cache.bounded <= cache.screened
+        for key, (cost, converged, iterations) in want.items():
+            assert got[key][1:] == (converged, iterations), key
+            if grid == 1:
+                assert got[key][0] == cost, key
+            else:
+                assert got[key][0] == pytest.approx(cost, rel=1e-12, abs=0), key
+        if case in ("mixed", "zero_regime") and grid == 1:
+            # all three levels ran: bound, exact test and solver
+            assert cache.bounded < cache.screened < len(want)
+
+    def test_window_inside_the_slack_reaches_the_exact_test(self):
+        # One window, [1, 4], with r(t) = 1 - X(t+1) < 0 throughout: the bound
+        # sum |r| g = 2*2 + 1*3 + 3*2 = 13 equals |grad nll(0)|.  At lam = 6.5
+        # the threshold lam * sqrt(4) = 13 lies inside the bound's slack, so the
+        # bound must leave the window to the exact test, which screens it.
+        series = EventSeries(np.array([[2, 3, 2, 4]]))
+        config = ModelConfig(v=0.0, clip=5.0)
+        cold = fit_interval(series, Interval(1, 4), 6.5, config)
+        assert not cold.matrix.any()
+        for lam, bounded in ((6.5, 0), (6.5 * (1 + 1e-9), 1)):
+            cache = CostCache()
+            detect(series, config, DetectOptions(lam=lam, gamma=1.0, min_segment=4), cache)
+            assert (cache.screened, cache.bounded) == (1, bounded)
+            cost, converged, iterations = cache.get((1, 4))
+            assert iterations == 0 and converged
+            assert cost == pytest.approx(cold.cost, rel=1e-12)
 
     def test_boundary_gradient_is_screened(self):
         # Window [1, 4] of this series has grad nll(0) = sum (1 - X(t+1)) X(t)
@@ -420,16 +530,24 @@ class TestCache:
         with pytest.raises(ValueError):
             detect(EventSeries(counts[:, :9]), config, opts, cache=cache)
 
-    def test_lru_policy_matches_all(self):
-        rng = np.random.default_rng(14)
-        series, config = random_instance(rng, T=12, m=2)
-        full = detect(series, config, DetectOptions(lam=0.8, gamma=0.7))
-        lru = detect(
-            series,
-            config,
-            DetectOptions(lam=0.8, gamma=0.7, cache_policy="lru", cache_capacity=5),
-        )
-        assert full.change_points.points == lru.change_points.points
+    def test_partly_filled_cache(self):
+        # A grid-3 detect caches a subset of the grid-1 blocks.  A grid-1
+        # detect on the same cache then sweeps every start with the warm
+        # starts of a fresh sweep and stores only the blocks it lacks.
+        rng = np.random.default_rng(18)
+        series, config = random_instance(rng, T=14, m=2)
+        coarse, fine = (DetectOptions(lam=0.4, gamma=0.3, grid=g) for g in (3, 1))
+        cache, fresh = CostCache(), CostCache()
+        detect(series, config, coarse, cache=cache)
+        before = dict(cache._data)
+        got = detect(series, config, fine, cache=cache)
+        want = detect(series, config, fine, cache=fresh)
+        assert got.change_points.points == want.change_points.points
+        assert got.total_objective == pytest.approx(want.total_objective, rel=1e-9)
+        assert 0 < len(before) < len(fresh._data) == len(cache._data)
+        assert cache.misses == fresh.misses  # each block missed by one sweep
+        for key, entry in fresh._data.items():
+            assert cache._data[key] == before.get(key, entry), key
 
     def test_stats_in_report(self):
         rng = np.random.default_rng(15)
@@ -453,7 +571,3 @@ class TestOptionsValidation:
             DetectOptions(lam=-1.0, gamma=1.0)
         with pytest.raises(ValueError):
             DetectOptions(lam=1.0, gamma=-0.1)
-
-    def test_lru_needs_capacity(self):
-        with pytest.raises(ValueError):
-            DetectOptions(lam=1.0, gamma=1.0, cache_policy="lru")
