@@ -32,6 +32,7 @@ from .detect import (
 from .glm import (
     SegmentFit,
     SolverOptions,
+    design_function,
     fit_interval,
     nll,
     nll_gradient,
@@ -41,7 +42,6 @@ from .metrics import EvalResult, aggregate, evaluate, hausdorff, k_error, mean_s
 from .sim import (
     ScenarioSpec,
     build_scenario,
-    design_function,
     generate_series,
     next_column,
     union_support_size,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CoefficientSequence, EventSeries, ModelConfig
+from .glm import design_function
 
 CANONICAL_JUMP_SIZES = (0.15, 0.20, 0.25, 0.30, 0.35)
 
@@ -72,20 +73,6 @@ class ScenarioSpec:
                 raise ValueError("custom scenarios need seq, config and T")
             if self.T < 2:
                 raise ValueError("custom scenarios need T >= 2")
-
-
-def design_function(history_tail: np.ndarray, clip: float) -> np.ndarray:
-    """Clip the most recent observation coordinate-wise at ``clip``.
-
-    Output entries lie in [0, clip].  This is the bounded feature map feeding
-    the log-intensity; alternative maps (e.g. clipped window sums) can be
-    swapped in by generating with a custom loop, but everything shipped here
-    uses the most recent count only.
-    """
-    if not clip > 0:
-        raise ValueError("clip must be positive")
-    tail = np.asarray(history_tail, dtype=np.float64)
-    return np.minimum(tail, clip)
 
 
 def _stream(seed: int, replication: int, t: int) -> np.random.Generator:

@@ -11,7 +11,9 @@ from seppchange import (
     Interval,
     ModelConfig,
     SolverFailure,
+    ScenarioSpec,
     SolverOptions,
+    build_scenario,
     fit_interval,
     generate_series,
     nll,
@@ -315,6 +317,76 @@ class TestFitInterval:
         with pytest.raises(ValueError):
             fit_interval(series, Interval(1, 5), -1.0, ModelConfig(v=0.0, clip=1.0))
 
+
+
+@pytest.fixture(scope="module")
+def benchmark_series():
+    """The benchmark's series: setting (a), rho = 0.35, seed 20260810, rep 0."""
+    seq, config, T = build_scenario(ScenarioSpec("a", rho=0.35))
+    return generate_series(seq, config, T, seed=20260810, replication=0), config
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("window", [(30, 135), (30, 75)])
+    def test_slow_windows_converge(self, benchmark_series, window):
+        # Proximal gradient needed about 7,400 iterations on [30, 135] and
+        # 15,446 on row 11 of [30, 75], whose working set holds three
+        # identical design columns.
+        series, config = benchmark_series
+        fit = fit_interval(series, Interval(*window), 200.0, config)
+        assert fit.converged.all()
+        assert fit.iterations.max() < SolverOptions().max_iter
+
+    def test_warm_start_matches_cold(self, benchmark_series):
+        series, config = benchmark_series
+        prev = fit_interval(series, Interval(1, 120), 400.0, config)
+        cold = fit_interval(series, Interval(1, 150), 400.0, config)
+        warm = fit_interval(
+            series, Interval(1, 150), 400.0, config, SolverOptions(init=prev.matrix)
+        )
+        assert cold.converged.all() and warm.converged.all()
+        assert warm.cost == pytest.approx(cold.cost, rel=1e-8)
+
+    def test_duplicate_units(self):
+        # Units 2 and 4 are identical, so their design columns are too and the
+        # Hessian on a working set holding both is singular.
+        a = np.array([[0.4, 0.0, 0.2], [0.3, 0.0, 0.0], [0.0, 0.5, 0.3]])
+        config = ModelConfig(v=0.3, clip=4.0)
+        base = generate_series(CoefficientSequence(((1, a),)), config, 60, seed=7)
+        series = EventSeries(np.vstack([base.counts, base.counts[1:2]]))
+        interval = Interval(1, 60)
+        grad0 = nll_gradient(np.zeros((4, 4)), series, interval, config)
+        lam = 0.1 * np.abs(grad0).max() / np.sqrt(interval.length)
+        fit = fit_interval(
+            series, interval, lam, config, SolverOptions(track_history=True)
+        )
+        ref = fit_interval(series, interval, lam, config, SolverOptions(tol=1e-13))
+        assert fit.matrix[2, 1] != 0.0 and fit.matrix[2, 3] != 0.0
+        assert fit.converged.all()
+        assert np.abs(fit.matrix).sum(axis=1).max() <= 1 + 1e-9
+        h = fit.history
+        assert np.all(np.diff(h) <= 1e-9 * np.maximum(1.0, np.abs(h[:-1])))
+        assert fit.cost == pytest.approx(ref.cost, rel=1e-9)
+
+    def test_rows_on_the_sphere(self):
+        # Unit 1 is driven by exp(0.9 g_1 + 0.8 g_3 - 0.5), so its
+        # unconstrained optimum leaves the unit l1 ball.
+        rng = np.random.default_rng(3)
+        x = np.zeros((3, 80), dtype=np.int64)
+        x[:, 0] = [1, 2, 0]
+        for t in range(79):
+            g = np.minimum(x[:, t], 3)
+            rate = np.exp(np.array([0.9 * g[0] + 0.8 * g[2], 0.8 * g[2], 0.3 * g[1]]) - 0.5)
+            x[:, t + 1] = rng.poisson(rate)
+        series = EventSeries(x)
+        config = ModelConfig(v=-0.5, clip=3.0)
+        fit = fit_interval(series, Interval(1, 80), 0.5, config)
+        ref = fit_interval(series, Interval(1, 80), 0.5, config, SolverOptions(tol=1e-13))
+        norms = np.abs(fit.matrix).sum(axis=1)
+        assert fit.converged.all()
+        assert norms.max() <= 1 + 1e-9
+        assert norms[0] >= 1 - 1e-9
+        assert fit.cost == pytest.approx(ref.cost, rel=1e-9)
 
 @pytest.mark.filterwarnings("ignore")
 def test_matches_convex_solver_oracle():
