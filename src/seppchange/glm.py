@@ -52,6 +52,9 @@ _BACKTRACK_LIMIT = 200
 _SPHERE = 1.0 - 1e-9
 # Ridge added to a working set's Hessian, relative to its trace.
 _DAMPING = 1e-10
+# Rows per batched Hessian product: its rows x columns x transitions
+# temporary would otherwise reach 2 MB at 30 units and 300 transitions.
+_HESSIAN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,10 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     sigma = np.where(support, np.sign(a_rows), -np.sign(grad))[:, cols]
     b = np.where(w, -(grad[:, cols] + thr * sigma), 0.0)
     gw = g[cols]
-    H = (gw * ez[rows][:, None, :]) @ gw.T
+    H = np.empty((rows.size, cols.size, cols.size))
+    for lo in range(0, rows.size, _HESSIAN_ROWS):
+        chunk = slice(lo, lo + _HESSIAN_ROWS)
+        np.matmul(gw * ez[rows[chunk], None, :], gw.T, out=H[chunk])
     H *= w[:, :, None] & w[:, None, :]
     diag = np.arange(cols.size)
     tr = H[:, diag, diag].sum(axis=1)
