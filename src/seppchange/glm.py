@@ -37,6 +37,14 @@ gradient: a row stops once a gradient step lowers F_m by at most
 tol * max(1, |F_m|), and returns that step's point.  Newton steps only find
 the support and the curvature sooner: a few dozen steps where proximal
 gradient alone took thousands on these ill-conditioned Hessians.
+
+Both line searches walk a ladder of rungs, one trial point each: alpha = 1,
+1/2, 1/4, ... for a Newton step, the shrinking step sizes for a gradient
+step.  The ladder is tried in batches of rungs, the first batch one rung
+and the later ones eight, and one batched evaluation covers every rung of a
+batch for every row still searching.  Each row takes its first accepted
+rung, the point that one trial at a time would reach; batching changes only
+the number of rounds, not the steps.
 """
 
 from __future__ import annotations
@@ -47,7 +55,9 @@ import numpy as np
 
 from .core import EventSeries, Interval, ModelConfig, SolverFailure
 
+# Rungs of a line search: trials per step, at most, and per batch after the first.
 _BACKTRACK_LIMIT = 200
+_RUNGS = 8
 # A row whose l1 norm reaches this lies on the sphere and takes gradient steps.
 _SPHERE = 1.0 - 1e-9
 # Ridge added to a working set's Hessian, relative to its trace.
@@ -55,6 +65,9 @@ _DAMPING = 1e-10
 # Rows per batched Hessian product: its rows x columns x transitions
 # temporary would otherwise reach 2 MB at 30 units and 300 transitions.
 _HESSIAN_ROWS = 8
+# Floats per rows x rungs x transitions temporary of a line search (128 KB);
+# unchunked, two of them would reach 2.3 MB at 40 units and 450 transitions.
+_LADDER_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -190,20 +203,23 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _l1_project_inplace(rows: np.ndarray) -> None:
-    """Project each row onto the l1 ball of radius 1 (rows already violating it).
+    """Project each row that leaves the l1 ball of radius 1 onto it.
 
     Euclidean projection onto the l1 ball is itself a soft-threshold at the
-    level where the shrunk norm hits 1, found from the sorted magnitudes.
+    level where the shrunk norm hits 1, found from the sorted magnitudes.  All
+    violating rows share one sort and one cumulative sum.
     """
-    norms = np.abs(rows).sum(axis=1)
-    for i in np.flatnonzero(norms > 1.0):
-        u = np.sort(np.abs(rows[i]))[::-1]
-        css = np.cumsum(u)
-        k = np.arange(1, u.size + 1)
-        valid = u - (css - 1.0) / k > 0
-        kmax = k[valid][-1]
-        tau = (css[kmax - 1] - 1.0) / kmax
-        rows[i] = soft_threshold(rows[i], tau)
+    out = np.flatnonzero(np.abs(rows).sum(axis=1) > 1.0)
+    if out.size == 0:
+        return
+    x = rows[out]
+    u = np.sort(np.abs(x), axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    k = np.arange(1, u.shape[1] + 1)
+    valid = u - (css - 1.0) / k > 0
+    kmax = u.shape[1] - np.argmax(valid[:, ::-1], axis=1)  # the last valid k
+    tau = (css[np.arange(out.size), kmax - 1] - 1.0) / kmax
+    rows[out] = soft_threshold(x, tau[:, None])
 
 
 def prox(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -228,20 +244,74 @@ def _prox_rows(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_values(cand, g, xp, v):
-    """exp(z) and the per-row nll of candidate rows whose targets are ``xp``."""
-    zc = v + cand @ g
-    ezc = np.exp(zc)
-    return ezc, np.einsum("ij->i", ezc - xp * zc)
+def _rung_batches():
+    """The rung ranges [lo, hi) of a line search, in the order they are tried.
+
+    The first batch is rung 0 alone, because most rows of a zero fit pass it;
+    later batches hold ``_RUNGS`` rungs each, up to ``_BACKTRACK_LIMIT``.
+    """
+    lo, hi = 0, 1
+    while lo < _BACKTRACK_LIMIT:
+        yield lo, hi
+        lo, hi = hi, min(hi + _RUNGS, _BACKTRACK_LIMIT)
+
+
+def _take_first(state, r, cand, norm, accept, g, xp, v, thr):
+    """Move each of rows ``r`` to its first candidate that ``accept`` passes.
+
+    ``cand`` holds K candidates per row, the rows' rungs in order and one row
+    after the other, shape (rows * K, M); ``norm`` holds their l1 norms,
+    shape (rows, K).  ``accept(sl, fc)`` returns the acceptance mask of the
+    rows ``sl`` of ``r`` from their candidates' nll ``fc``, shape (rows, K).
+    The candidates are evaluated a few rows at a time, so that no
+    (rows, K, transitions) temporary holds more than ``_LADDER_FLOATS``
+    floats.  Updates ``state`` in place and returns each row's accepted rung
+    within the batch, or -1.
+    """
+    A, ez, f_rows, obj_rows = state
+    n, K = norm.shape
+    T = g.shape[1]
+    per = max(1, _LADDER_FLOATS // (K * T))
+    first = np.full(n, -1)
+    for lo in range(0, n, per):
+        sl = slice(lo, lo + per)
+        rs = r[sl]
+        # Two (rows * K, T) arrays: z, then exp(z), then z becomes the nll terms.
+        z = cand[lo * K : (lo + per) * K] @ g
+        z += v
+        with np.errstate(over="ignore", invalid="ignore"):
+            ezc = np.exp(z)
+            terms = z.reshape(rs.size, K, T)
+            terms *= xp[rs, None, :]
+            np.subtract(ezc.reshape(terms.shape), terms, out=terms)
+            fc = np.einsum("ij->i", z).reshape(rs.size, K)
+            ok = accept(sl, fc)
+        hit = np.flatnonzero(ok.any(axis=1))
+        if hit.size:
+            k = ok[hit].argmax(axis=1)
+            j = hit * K + k  # the accepted candidates within the chunk
+            moved = rs[hit]
+            A[moved] = cand[lo * K + j]
+            ez[moved] = ezc[j]
+            f_rows[moved] = fc[hit, k]
+            obj_rows[moved] = fc[hit, k] + thr * norm[lo + hit, k]
+            first[lo + hit] = k
+        del z, terms, ezc  # freed before the next chunk's are made
+    return first
 
 
 def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     """One working-set Newton step on each of ``rows`` strictly inside the ball.
 
     Updates ``state`` (A, ez, f_rows, obj_rows) in place for the rows whose
-    step was accepted and returns a mask of them over ``rows``.  A row stops
-    halving alpha once alpha times the full step's first-order decrease is
-    at most the decrease it must beat; it then falls back to a gradient step.
+    step was accepted and returns a mask of them over ``rows``.  The line
+    search tries alpha = 1, 1/2, 1/4, ... and takes the first alpha that
+    passes; a row stops halving once alpha times the full step's first-order
+    decrease is at most the decrease it must beat, and then falls back to a
+    gradient step.  The ladder is tried in rung batches (``_rung_batches``):
+    one batched evaluation covers every rung of a batch for every row still
+    pending, and each row takes its first accepted rung, as one trial at a
+    time would.
     """
     A, ez, f_rows, obj_rows = state
     took = np.zeros(rows.size, dtype=bool)
@@ -268,30 +338,31 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     d = np.linalg.solve(H, b[..., None])[..., 0]
     slope = np.einsum("ij,ij->i", b, d)  # first-order decrease of a full step
     need = tol * np.maximum(1.0, np.abs(obj_rows[rows]))
-    alpha = np.ones(rows.size)
     pend = np.flatnonzero(slope > need)
-    for _ in range(_BACKTRACK_LIMIT):
+    for lo, hi in _rung_batches():
         if pend.size == 0:
             break
+        alpha = np.ldexp(1.0, -np.arange(lo, hi))  # exactly 0.5 ** k
+        # the rungs that halving would reach: a prefix of the batch per row
+        live = alpha * slope[pend, None] > need[pend, None]
+        K = int(np.count_nonzero(live.any(axis=0)))
+        alpha, live = alpha[:K], live[:, :K]
         r = rows[pend]
-        cand = a_rows[pend]
-        part = cand[:, cols] + alpha[pend, None] * d[pend]
-        part[part * sigma[pend] < 0.0] = 0.0  # a coordinate that changes sign stops at 0
-        cand[:, cols] = part
-        norm = np.abs(cand).sum(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ezc, fc = _row_values(cand, g, xp[r], v)
-            ok = (norm <= 1.0) & (obj_rows[r] - (fc + thr * norm) > need[pend])
-        if np.any(ok):
-            hit = r[ok]
-            A[hit] = cand[ok]
-            ez[hit] = ezc[ok]
-            f_rows[hit] = fc[ok]
-            obj_rows[hit] = fc[ok] + thr * norm[ok]
-            took[pend[ok]] = True
-        pend = pend[~ok]
-        alpha[pend] *= 0.5
-        pend = pend[alpha[pend] * slope[pend] > need[pend]]
+        part = a_rows[pend][:, None, cols] + alpha[:, None] * d[pend, None]
+        part[part * sigma[pend, None] < 0.0] = 0.0  # a coordinate that changes sign stops at 0
+        cand = np.repeat(a_rows[pend], K, axis=0)
+        cand[:, cols] = part.reshape(-1, cols.size)
+        norm = np.abs(cand).sum(axis=1).reshape(pend.size, K)
+        obj, bar = obj_rows[r], need[pend]
+
+        def accept(sl, fc):
+            nm = norm[sl]
+            return live[sl] & (nm <= 1.0) & (obj[sl, None] - (fc + thr * nm) > bar[sl, None])
+
+        first = _take_first(state, r, cand, norm, accept, g, xp, v, thr)
+        took[pend[first >= 0]] = True
+        pend = pend[first < 0]
+        pend = pend[np.ldexp(1.0, -hi) * slope[pend] > need[pend]]
     return took
 
 
@@ -299,34 +370,45 @@ def _gradient_step(state, rows, grad, steps, g, xp, v, thr, beta):
     """One backtracking proximal-gradient step on each of ``rows``.
 
     The trial step doubles first and then shrinks by ``beta`` until the
-    quadratic upper bound holds.  Updates ``state`` in place.
+    quadratic upper bound holds; the row keeps the accepted step size.  As
+    in ``_newton_step``, the ladder of step sizes is tried in rung batches,
+    and each row takes its first accepted rung.  Updates ``state`` in place.
     """
     A, ez, f_rows, obj_rows = state
     steps[rows] *= 2.0
     pend = np.arange(rows.size)
-    for _ in range(_BACKTRACK_LIMIT):
+    for lo, hi in _rung_batches():
         if pend.size == 0:
             return
+        K = hi - lo
         r = rows[pend]
-        st = steps[r]
-        cand = _prox_rows(A[r] - st[:, None] * grad[pend], st * thr)
-        ezc, fc = _row_values(cand, g, xp[r], v)
-        diff = cand - A[r]
+        # the rungs' step sizes, shrunk one multiplication at a time
+        ladder = np.full((pend.size, K), beta)
+        ladder[:, 0] = steps[r]
+        ladder = np.cumprod(ladder, axis=1)
+        st = ladder.ravel()
+        a = np.repeat(A[r], K, axis=0)
+        gr = np.repeat(grad[pend], K, axis=0)
+        cand = _prox_rows(a - st[:, None] * gr, st * thr)
+        diff = cand - a
         quad = (
-            f_rows[r]
-            + np.einsum("ij,ij->i", grad[pend], diff)
+            np.repeat(f_rows[r], K)
+            + np.einsum("ij,ij->i", gr, diff)
             + np.einsum("ij,ij->i", diff, diff) / (2.0 * st)
-        )
-        ok = fc <= quad + 1e-12 * np.maximum(1.0, np.abs(f_rows[r]))
-        if np.any(ok):
-            hit = r[ok]
-            A[hit] = cand[ok]
-            ez[hit] = ezc[ok]
-            f_rows[hit] = fc[ok]
-            obj_rows[hit] = fc[ok] + thr * np.abs(cand[ok]).sum(axis=1)
-        steps[r[~ok]] *= beta
-        pend = pend[~ok]
-    raise SolverFailure("backtracking line search failed to make progress")
+        ).reshape(pend.size, K)
+        slack = 1e-12 * np.maximum(1.0, np.abs(f_rows[r]))
+        norm = np.abs(cand).sum(axis=1).reshape(pend.size, K)
+
+        def accept(sl, fc):
+            return fc <= quad[sl] + slack[sl, None]
+
+        first = _take_first(state, r, cand, norm, accept, g, xp, v, thr)
+        got = first >= 0
+        steps[r[got]] = ladder[got, first[got]]
+        steps[r[~got]] = ladder[~got, -1] * beta
+        pend = pend[~got]
+    if pend.size:
+        raise SolverFailure("backtracking line search failed to make progress")
 
 
 def _fit_kernel(

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import seppchange
 from seppchange import CoefficientSequence, DetectOptions, EventSeries, ModelConfig, detect, generate_series
 from seppchange.cli import (
     EXIT_DATA,
@@ -335,3 +336,18 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_import_leaves_the_process_pool_out():
+    # replicate imports the pool only when it starts workers
+    src = os.path.dirname(os.path.dirname(seppchange.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, seppchange.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -20,6 +20,7 @@ from seppchange import (
     nll_gradient,
     prox,
 )
+from seppchange import glm
 
 
 def random_feasible_matrix(rng, m, max_norm=1.0):
@@ -194,6 +195,62 @@ class TestProx:
         assert prox_kkt_holds(x, thr, z)
 
 
+def project_row_by_hand(x):
+    """Euclidean projection of one row onto the unit l1 ball, one row at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.abs(x).sum() <= 1.0:
+        return x.copy()
+    u = sorted(np.abs(x).tolist(), reverse=True)
+    total, tau = 0.0, None
+    for k, uk in enumerate(u, start=1):
+        total += uk
+        if uk - (total - 1.0) / k > 0:
+            tau = (total - 1.0) / k  # kept from the largest such k
+    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+
+
+def projection_cases():
+    rng = np.random.default_rng(53)
+    rows = [rng.normal(scale=s, size=7) for s in (0.05, 0.3, 1.0, 4.0) for _ in range(5)]
+    rows += [
+        np.array([0.5, -0.5, 0.5, -0.5, 0.5, 0.0, 0.0]),  # tied magnitudes
+        np.array([2.0, 2.0, -2.0, 1.0, 0.0, 0.0, 0.0]),
+        np.full(7, -0.75),
+        np.array([0.25, -0.25, 0.25, -0.25, 0.0, 0.0, 0.0]),  # norm exactly 1
+        np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        np.zeros(7),
+    ]
+    return np.array(rows)
+
+
+class TestBallProjection:
+    """The ball projection handles all violating rows at once."""
+
+    def test_prox_matches_per_row_reference(self):
+        x = projection_cases()
+        want = np.array([project_row_by_hand(row) for row in x])
+        np.testing.assert_array_equal(prox(x, 0.0), want)
+        for row, w in zip(x, want):
+            np.testing.assert_array_equal(prox(row, 0.0), w)
+        on_sphere = np.abs(x).sum(axis=1) > 1.0
+        assert np.abs(want[on_sphere]).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_prox_rows_matches_per_row_reference(self):
+        x = projection_cases()
+        thresholds = np.linspace(0.0, 1.5, x.shape[0])
+        shrunk = np.sign(x) * np.maximum(np.abs(x) - thresholds[:, None], 0.0)
+        want = np.array([project_row_by_hand(row) for row in shrunk])
+        np.testing.assert_array_equal(glm._prox_rows(x, thresholds), want)
+
+    def test_rows_inside_the_ball_are_untouched(self):
+        x = projection_cases()
+        inside = x[np.abs(x).sum(axis=1) <= 1.0]
+        assert inside.shape[0] >= 3
+        out = inside.copy()
+        glm._l1_project_inplace(out)
+        np.testing.assert_array_equal(out, inside)
+
+
 class TestFitInterval:
     def test_penalty_dominance_gives_zero(self):
         rng = np.random.default_rng(5)
@@ -326,6 +383,50 @@ def benchmark_series():
     return generate_series(seq, config, T, seed=20260810, replication=0), config
 
 
+def record_accepted_rungs(monkeypatch):
+    """Record the rung at which each line search took a step, by step kind."""
+    seen = {"_newton_step": [], "_gradient_step": []}
+    batches = []
+    rung_batches, take_first = glm._rung_batches, glm._take_first
+
+    def recording_batches():
+        for batch in rung_batches():
+            batches.append(batch)
+            yield batch
+
+    def recording_take_first(state, r, cand, norm, accept, *rest):
+        first = take_first(state, r, cand, norm, accept, *rest)
+        if np.any(first >= 0):
+            kind = accept.__qualname__.split(".")[0]
+            seen[kind].append(batches[-1][0] + int(first.max()))
+        return first
+
+    monkeypatch.setattr(glm, "_rung_batches", recording_batches)
+    monkeypatch.setattr(glm, "_take_first", recording_take_first)
+    return seen
+
+
+# Cold fits on the benchmark series with one trial per line-search round:
+# per-row iterations and the cost.  Every row converged.
+LADDER_FITS = {
+    (1, 150, 400.0): (
+        [1, 12, 1, 8, 1, 9, 1, 10, 1, 10, 1, 11, 1, 11, 1, 21,
+         1, 10, 1, 10, 1, 8, 1, 8, 1, 8, 1, 8, 1, 17],
+        -13927.481697565661,
+    ),
+    (30, 135, 200.0): (
+        [1, 15, 1, 11, 1, 25, 1, 14, 1, 12, 1, 23, 1, 24, 1, 25,
+         1, 13, 1, 31, 1, 23, 1, 13, 1, 16, 1, 20, 1, 17],
+        -17760.677860273438,
+    ),
+    (151, 300, 400.0): (
+        [1, 1, 1, 1, 1, 1, 8, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+         1, 1, 1, 1, 1, 1, 1, 1, 7, 1, 1, 1, 1, 1],
+        -6300.2468707771795,
+    ),
+}
+
+
 class TestNewtonSolver:
     @pytest.mark.parametrize("window", [(30, 135), (30, 75)])
     def test_slow_windows_converge(self, benchmark_series, window):
@@ -387,6 +488,67 @@ class TestNewtonSolver:
         assert norms.max() <= 1 + 1e-9
         assert norms[0] >= 1 - 1e-9
         assert fit.cost == pytest.approx(ref.cost, rel=1e-9)
+
+    @pytest.mark.parametrize("fit_key", list(LADDER_FITS))
+    def test_rung_batches_take_the_sequential_steps(self, benchmark_series, fit_key, monkeypatch):
+        # Each fit has Newton and gradient steps taken after more than 8
+        # halvings, past the first two rung batches.
+        series, config = benchmark_series
+        s, e, lam = fit_key
+        iterations, cost = LADDER_FITS[fit_key]
+        seen = record_accepted_rungs(monkeypatch)
+        fit = fit_interval(series, Interval(s, e), lam, config)
+        assert max(seen["_newton_step"]) > 8 and max(seen["_gradient_step"]) > 8
+        assert fit.iterations.tolist() == iterations
+        assert fit.converged.all()
+        assert fit.cost == pytest.approx(cost, rel=1e-12, abs=0)
+
+    def test_batch_size_does_not_change_the_fit(self, benchmark_series, monkeypatch):
+        # One rung per batch is the one-trial-at-a-time search; one batch of
+        # every rung is the other extreme.
+        series, config = benchmark_series
+        fits = {}
+        for rungs in (1, glm._RUNGS, glm._BACKTRACK_LIMIT):
+            monkeypatch.setattr(glm, "_RUNGS", rungs)
+            fits[rungs] = fit_interval(series, Interval(30, 75), 200.0, config)
+        ref = fits[1]
+        for fit in fits.values():
+            np.testing.assert_array_equal(fit.iterations, ref.iterations)
+            np.testing.assert_array_equal(fit.converged, ref.converged)
+            assert fit.cost == pytest.approx(ref.cost, rel=1e-12, abs=0)
+
+    def test_gradient_ladder_matches_one_trial_at_a_time(self, benchmark_series):
+        # From the [1, 120] fit, one gradient step on [1, 150] whose first
+        # trial is 2 ** 12, so that rows backtrack past several rung batches.
+        series, config = benchmark_series
+        interval, lam, beta = Interval(1, 150), 400.0, 0.5
+        g, xp = glm._slice(series, interval, config)
+        thr = lam * np.sqrt(interval.length)
+        A0 = fit_interval(series, Interval(1, 120), lam, config).matrix.copy()
+        z = config.v + A0 @ g
+        f0 = (np.exp(z) - xp * z).sum(axis=1)
+        grad = (np.exp(z) - xp) @ g.T
+        rows = np.arange(series.M)
+        state = (A0.copy(), np.exp(z), f0.copy(), f0 + thr * np.abs(A0).sum(axis=1))
+        steps = np.full(series.M, 2.0**11)
+        glm._gradient_step(state, rows, grad, steps, g, xp, config.v, thr, beta)
+
+        want_A, want_steps = np.empty_like(A0), np.empty(series.M)
+        for i in rows:
+            st = 2.0**12
+            while True:
+                cand = prox(A0[i] - st * grad[i], st * thr)
+                zc = config.v + cand @ g
+                fc = np.sum(np.exp(zc) - xp[i] * zc)
+                diff = cand - A0[i]
+                quad = f0[i] + grad[i] @ diff + diff @ diff / (2.0 * st)
+                if fc <= quad + 1e-12 * max(1.0, abs(f0[i])):
+                    break
+                st *= beta
+            want_A[i], want_steps[i] = cand, st
+        assert np.log2(2.0**12 / want_steps).max() > 8
+        np.testing.assert_array_equal(steps, want_steps)
+        np.testing.assert_allclose(state[0], want_A, rtol=1e-12, atol=1e-15)
 
 @pytest.mark.filterwarnings("ignore")
 def test_matches_convex_solver_oracle():
