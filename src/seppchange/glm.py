@@ -24,9 +24,18 @@ Lee, Sun & Saunders, SIAM J. Optim. 2014) restricted to one orthant:
   with H = g diag(e^z) g^T the row's Hessian.  The damping is needed: units
   whose clipped counts agree over the window give identical design columns,
   and then H_SS is singular.
-* The step length alpha starts at 1 and halves; a coordinate whose sign
-  would flip stops at 0.  The step is taken once the point lies in the ball
-  and lowers F_m by more than tol * max(1, |F_m|).
+* The direction keeps every coordinate in its orthant up to alpha = 1.  A
+  coordinate that the full step would carry against sigma (a support
+  coordinate changing sign, or an entering one moving the wrong way) is
+  fixed so that alpha = 1 lands it on 0, and the rest of S is solved again
+  with that displacement moved to the right-hand side.  This repeats, one
+  zero crossing at a time, for a bounded number of re-solves; the line
+  search clips whatever still crosses at 0.  A direction that was only
+  clipped moved the other coordinates as if the clipped one had crossed,
+  so the full step overshot and alpha was halved again and again.
+* The step length alpha starts at 1 and halves.  The step is taken once
+  the point lies in the ball and lowers F_m by more than
+  tol * max(1, |F_m|).
 
 When no such alpha exists, and always for a row on the sphere ||a||_1 = 1,
 the row takes a proximal gradient step with backtracking line search.  Its
@@ -62,6 +71,9 @@ _RUNGS = 8
 _SPHERE = 1.0 - 1e-9
 # Ridge added to a working set's Hessian, relative to its trace.
 _DAMPING = 1e-10
+# Re-solves of a Newton direction after fixing the coordinates it carries
+# across zero; whatever still crosses after the last one is clipped at 0.
+_SIGN_ROUNDS = 16
 # Rows per batched Hessian product: its rows x columns x transitions
 # temporary would otherwise reach 2 MB at 30 units and 300 transitions.
 _HESSIAN_ROWS = 8
@@ -304,11 +316,16 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     """One working-set Newton step on each of ``rows`` strictly inside the ball.
 
     Updates ``state`` (A, ez, f_rows, obj_rows) in place for the rows whose
-    step was accepted and returns a mask of them over ``rows``.  The line
-    search tries alpha = 1, 1/2, 1/4, ... and takes the first alpha that
-    passes; a row stops halving once alpha times the full step's first-order
-    decrease is at most the decrease it must beat, and then falls back to a
-    gradient step.  The ladder is tried in rung batches (``_rung_batches``):
+    step was accepted and returns a mask of them over ``rows``.  The
+    direction is sign-aware: a working-set coordinate j that the Newton step
+    would carry against sigma_j is fixed at d_j = -a_j, so that alpha = 1
+    puts it on exactly 0, and the rest is solved again, batched over the rows
+    that still cross, for at most ``_SIGN_ROUNDS`` rounds.  ``b . d`` is the
+    first-order decrease of the full step.  The line search tries alpha = 1,
+    1/2, 1/4, ... and takes the first alpha that passes, clipping at 0 any
+    coordinate that still changes sign; a row stops halving once alpha times
+    that decrease is at most the decrease it must beat, and then falls back
+    to a gradient step.  The ladder is tried in rung batches (``_rung_batches``):
     one batched evaluation covers every rung of a batch for every row still
     pending, and each row takes its first accepted rung, as one trial at a
     time would.
@@ -336,6 +353,32 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     damp = np.where(tr > 0.0, _DAMPING * tr, 1.0)
     H[:, diag, diag] += np.where(w, damp[:, None], 1.0)
     d = np.linalg.solve(H, b[..., None])[..., 0]
+    # Fixing Z at d_Z = -a_Z moves H_{.,Z} (-a_Z) to the right-hand side of
+    # the other coordinates; Z's own row and column become the identity.
+    # Each round fixes, per row, the crossing coordinates that the step
+    # brings to 0 first: entering ones (a_j = 0) get there at once, so the
+    # first round takes all of them, and later rounds one support coordinate
+    # each.  An entering coordinate that turns against sigma only after
+    # others were fixed is not fixed; the clip holds it at 0.
+    a_w = a_rows[:, cols]
+    fixed = np.zeros_like(w)
+    may_fix = w
+    for _ in range(_SIGN_ROUNDS):
+        cross = may_fix & ((a_w + d) * sigma < 0.0)
+        redo = np.flatnonzero(cross.any(axis=1))
+        if redo.size == 0:
+            break
+        reach = np.full(cross.shape, np.inf)  # the alpha at which each reaches 0
+        np.divide(-a_w, d, out=reach, where=cross)
+        fixed |= cross & (reach <= reach.min(axis=1, keepdims=True))
+        may_fix = w & support[:, cols]
+        fz = fixed[redo]
+        dz = np.where(fz, -a_w[redo], 0.0)
+        Hr = H[redo]
+        rhs = np.where(fz, 0.0, b[redo] - np.einsum("ijk,ik->ij", Hr, dz))
+        Hr[fz[:, :, None] | fz[:, None, :]] = 0.0
+        Hr[:, diag, diag] += fz
+        d[redo] = np.linalg.solve(Hr, rhs[..., None])[..., 0] + dz
     slope = np.einsum("ij,ij->i", b, d)  # first-order decrease of a full step
     need = tol * np.maximum(1.0, np.abs(obj_rows[rows]))
     pend = np.flatnonzero(slope > need)

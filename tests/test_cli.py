@@ -351,3 +351,39 @@ def test_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+SILENT_SCRIPT = """
+import json, sys
+import numpy as np
+import seppchange
+from seppchange import cli
+
+a = np.array([[0.4, 0.0, 0.2], [0.3, 0.0, 0.0], [0.0, 0.5, 0.3]])
+config = seppchange.ModelConfig(v=0.3, clip=4.0)
+seq = seppchange.CoefficientSequence(((1, a), (31, 0.5 * a)))
+cli.write_counts_csv(sys.argv[1], seppchange.generate_series(seq, config, 60, seed=7))
+series = cli.read_counts_csv(sys.argv[1])
+fit = seppchange.fit_interval(series, seppchange.Interval(1, 60), 1.0, config)
+assert np.any(fit.matrix != 0.0)
+report = seppchange.detect(series, config, seppchange.DetectOptions(lam=1.0, gamma=5.0, grid=5))
+manifest = {"command": "detect", "argv": [], "version": seppchange.__version__}
+json.dumps(cli.report_json(series, config, report, manifest))
+seppchange.evaluate(list(report.change_points.points), [31], series.T)
+"""
+
+
+def test_library_calls_write_nothing(tmp_path):
+    # A caller that runs the library in process owns stdout and stderr: the
+    # calls a benchmark harness makes, and interpreter exit, print nothing.
+    src = os.path.dirname(os.path.dirname(seppchange.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SILENT_SCRIPT, str(tmp_path / "counts.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ""

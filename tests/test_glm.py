@@ -407,24 +407,37 @@ def record_accepted_rungs(monkeypatch):
 
 
 # Cold fits on the benchmark series with one trial per line-search round:
-# per-row iterations and the cost.  Every row converged.
+# per-row iterations and the cost.  Every row converged, and each fit takes
+# Newton and gradient steps after more than 8 halvings.
 LADDER_FITS = {
-    (1, 150, 400.0): (
-        [1, 12, 1, 8, 1, 9, 1, 10, 1, 10, 1, 11, 1, 11, 1, 21,
-         1, 10, 1, 10, 1, 8, 1, 8, 1, 8, 1, 8, 1, 17],
-        -13927.481697565661,
+    (20, 80, 400.0): (
+        [1, 5, 1, 5, 1, 5, 1, 4, 1, 5, 1, 4, 1, 4, 1, 4,
+         1, 5, 1, 4, 1, 4, 1, 4, 1, 5, 1, 4, 1, 5],
+        -4059.8470390559687,
     ),
-    (30, 135, 200.0): (
-        [1, 15, 1, 11, 1, 25, 1, 14, 1, 12, 1, 23, 1, 24, 1, 25,
-         1, 13, 1, 31, 1, 23, 1, 13, 1, 16, 1, 20, 1, 17],
-        -17760.677860273438,
+    (30, 120, 200.0): (
+        [1, 6, 1, 5, 1, 5, 1, 5, 1, 6, 1, 5, 1, 6, 1, 5,
+         1, 6, 1, 6, 1, 7, 1, 8, 1, 6, 1, 5, 1, 5],
+        -15044.089669011833,
     ),
-    (151, 300, 400.0): (
-        [1, 1, 1, 1, 1, 1, 8, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-         1, 1, 1, 1, 1, 1, 1, 1, 7, 1, 1, 1, 1, 1],
-        -6300.2468707771795,
+    (100, 150, 400.0): (
+        [1, 4, 1, 1, 1, 3, 1, 3, 1, 4, 1, 5, 1, 3, 1, 4,
+         1, 5, 1, 4, 1, 4, 1, 3, 1, 3, 1, 4, 1, 1],
+        -2240.5854633929202,
     ),
 }
+
+
+def duplicate_units_problem():
+    """A 4-unit series whose units 2 and 4 are identical, and its lambda."""
+    a = np.array([[0.4, 0.0, 0.2], [0.3, 0.0, 0.0], [0.0, 0.5, 0.3]])
+    config = ModelConfig(v=0.3, clip=4.0)
+    base = generate_series(CoefficientSequence(((1, a),)), config, 60, seed=7)
+    series = EventSeries(np.vstack([base.counts, base.counts[1:2]]))
+    interval = Interval(1, 60)
+    grad0 = nll_gradient(np.zeros((4, 4)), series, interval, config)
+    lam = 0.1 * np.abs(grad0).max() / np.sqrt(interval.length)
+    return series, config, interval, lam
 
 
 class TestNewtonSolver:
@@ -451,13 +464,7 @@ class TestNewtonSolver:
     def test_duplicate_units(self):
         # Units 2 and 4 are identical, so their design columns are too and the
         # Hessian on a working set holding both is singular.
-        a = np.array([[0.4, 0.0, 0.2], [0.3, 0.0, 0.0], [0.0, 0.5, 0.3]])
-        config = ModelConfig(v=0.3, clip=4.0)
-        base = generate_series(CoefficientSequence(((1, a),)), config, 60, seed=7)
-        series = EventSeries(np.vstack([base.counts, base.counts[1:2]]))
-        interval = Interval(1, 60)
-        grad0 = nll_gradient(np.zeros((4, 4)), series, interval, config)
-        lam = 0.1 * np.abs(grad0).max() / np.sqrt(interval.length)
+        series, config, interval, lam = duplicate_units_problem()
         fit = fit_interval(
             series, interval, lam, config, SolverOptions(track_history=True)
         )
@@ -488,6 +495,50 @@ class TestNewtonSolver:
         assert norms.max() <= 1 + 1e-9
         assert norms[0] >= 1 - 1e-9
         assert fit.cost == pytest.approx(ref.cost, rel=1e-9)
+
+    def test_sign_change_lands_on_zero(self, monkeypatch):
+        # Row 3 splits its weight between the identical units 2 and 4.  Moved
+        # onto unit 2, with a small weight of the wrong sign left on unit 4,
+        # it must return in one full Newton step that puts unit 4 on 0: the
+        # step along the near-null direction of the pair would carry unit 4
+        # across zero.
+        series, config, interval, lam = duplicate_units_problem()
+        init = fit_interval(series, interval, lam, config).matrix.copy()
+        assert init[2, 1] > 0.0 and init[2, 3] > 0.0
+        init[2, 1] += init[2, 3] + 0.01
+        init[2, 3] = -0.01
+        first_newton = []
+        take_first = glm._take_first
+
+        def recording_take_first(state, r, cand, norm, accept, *rest):
+            first = take_first(state, r, cand, norm, accept, *rest)
+            if not first_newton and accept.__qualname__.startswith("_newton_step"):
+                first_newton.append((dict(zip(r.tolist(), first.tolist())), state[0][2].copy()))
+            return first
+
+        monkeypatch.setattr(glm, "_take_first", recording_take_first)
+        fit_interval(series, interval, lam, config, SolverOptions(init=init, max_iter=1))
+        rungs, row = first_newton[0]  # the first rung batch: alpha = 1 alone
+        assert rungs[2] == 0
+        assert row[3] == 0.0
+
+    @pytest.mark.parametrize(
+        "window, lam, warm_from",
+        [(key[:2], key[2], None) for key in LADDER_FITS]
+        + [((1, 150), 400.0, 140), ((10, 150), 400.0, 140), ((150, 300), 400.0, 290)],
+    )
+    def test_cost_matches_a_tight_fit(self, benchmark_series, window, lam, warm_from):
+        # The LADDER_FITS windows, cold, and three windows of the lam 400,
+        # grid 10 sweep, warm-started from a fit of the sweep's previous window.
+        series, config = benchmark_series
+        interval = Interval(*window)
+        init = None
+        if warm_from is not None:
+            init = fit_interval(series, Interval(window[0], warm_from), lam, config).matrix
+        fit = fit_interval(series, interval, lam, config, SolverOptions(init=init))
+        ref = fit_interval(series, interval, lam, config, SolverOptions(tol=1e-13))
+        assert fit.converged.all()
+        assert fit.cost == pytest.approx(ref.cost, rel=1e-7, abs=0)
 
     @pytest.mark.parametrize("fit_key", list(LADDER_FITS))
     def test_rung_batches_take_the_sequential_steps(self, benchmark_series, fit_key, monkeypatch):
