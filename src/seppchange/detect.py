@@ -16,10 +16,17 @@ block counts.  The Bellman recursion
     cost([s, e]) = H(Ahat(W), W),   W = [max(s-1, 1), e],
 
 is exact; ties are resolved toward fewer blocks and then the lexicographically
-smallest change-point vector.  Block costs are memoized, and consecutive
-fits along a sweep share warm starts, which is what makes the O(T^2) scan
-affordable.  ``exhaustive_search`` enumerates every admissible partition
-through the same cost cache and exists to validate ``detect``.
+smallest change-point vector.  Block costs are memoized in one row per start,
+an array over the start's ends, and consecutive fits along a start's sweep
+share warm starts, which is what makes the O(T^2) scan affordable.  The
+recursion runs push-style over starts: B[s-1] is final when start s comes up,
+because every block that ends at s-1 starts before s, so start s relaxes the
+best value seen so far for all of its ends with one vector operation on its
+cost row.  The float operations are those of the textbook pull-style min, in
+the same order, and the rare exact ties on value are settled in Python by
+(blocks, change points), the change points rebuilt from back-pointers.
+``exhaustive_search`` enumerates every admissible partition through the same
+cost cache and exists to validate ``detect``.
 
 Most windows need no solver at all.  Zero lies strictly inside the row-norm
 ball, so by the KKT condition at A = 0 row m of the fit on window W is exactly
@@ -57,7 +64,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from itertools import repeat
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,21 +123,30 @@ class DetectionReport:
 
 
 class CostCache:
-    """Memo of costs keyed by (start, end), with hit/miss counters.
+    """Memo of costs keyed by (start, end), stored in per-start rows.
 
     A cache instance is bound to one (series, lam, config, solver) context and
     to one key meaning: regime blocks for detect() and exhaustive_search(),
     fitted intervals for interval_cost().  It refuses reuse under a different
     context, so detect() and exhaustive_search() can safely share one instance.
-    Entries are (cost, converged, iterations) and are never evicted: the sweep
-    stores every block cost before the partition search reads one.
-    ``screened`` counts the block costs the sweep took from the zero test
-    instead of a fit, and ``bounded`` those among them that the bound settled
-    without the exact test; each screened cost is also counted as a miss.
+
+    Each start that is swept or ``put`` owns one row: a cost array (NaN where
+    no cost is stored), a converged array and an iterations array, all indexed
+    by end - start.  A row is allocated on its start's first sweep or ``put``
+    and grown when a ``put`` reaches past it, so memory is O(swept starts x T),
+    and the sweep and the push-style recursion read and write a start's ends
+    with vector operations.  Entries are (cost, converged, iterations) and are
+    never evicted: the sweep stores every block cost before the partition
+    search reads one.  ``hits`` and ``misses`` count block lookups, one per
+    block, whether looked up alone or as part of a row.  ``screened`` counts
+    the block costs the sweep took from the zero test instead of a fit, and
+    ``bounded`` those among them that the bound settled without the exact
+    test; each screened cost is also counted as a miss.
     """
 
     def __init__(self) -> None:
-        self._data: dict[tuple[int, int], tuple[float, bool, int]] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._entries = 0
         self._context: tuple | None = None
         self.hits = 0
         self.misses = 0
@@ -144,8 +159,31 @@ class CostCache:
         elif self._context != context:
             raise ValueError("cost cache reused under a different context")
 
+    def _row(self, s: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row of start s, allocated or grown to hold at least ``size`` ends."""
+        row = self._rows.get(s)
+        if row is None or len(row[0]) < size:
+            grown = (
+                np.full(size, np.nan),
+                np.zeros(size, dtype=bool),
+                np.zeros(size, dtype=np.int64),
+            )
+            if row is not None:
+                for new, old in zip(grown, row):
+                    new[: len(old)] = old
+            row = self._rows[s] = grown
+        return row
+
+    def _lookup(self, key: tuple[int, int]) -> tuple[float, bool, int] | None:
+        s, e = key
+        row = self._rows.get(s)
+        d = e - s
+        if row is None or not 0 <= d < len(row[0]) or math.isnan(row[0][d]):
+            return None
+        return float(row[0][d]), bool(row[1][d]), int(row[2][d])
+
     def get(self, key: tuple[int, int]):
-        entry = self._data.get(key)
+        entry = self._lookup(key)
         if entry is None:
             self.misses += 1
             return None
@@ -153,20 +191,50 @@ class CostCache:
         return entry
 
     def put(self, key: tuple[int, int], entry: tuple[float, bool, int]) -> None:
-        self._data[key] = entry
+        s, e = key
+        cost, converged, iterations = entry
+        if e < s:
+            raise ValueError(f"block {key} ends before it starts")
+        if math.isnan(cost):
+            raise ValueError(f"block {key}: a NaN cost cannot be stored")
+        costs, flags, iters = self._row(s, e - s + 1)
+        self._entries += math.isnan(costs[e - s])
+        costs[e - s], flags[e - s], iters[e - s] = cost, converged, iterations
 
     def cost(self, key: tuple[int, int]) -> float:
         """The cost of a stored block; raises KeyError for a block never swept."""
         self.hits += 1
-        return self._data[key][0]
+        entry = self._lookup(key)
+        if entry is None:
+            raise KeyError(key)
+        return entry[0]
+
+    def _block_costs(self, s: int, ends: np.ndarray) -> np.ndarray:
+        """Costs of the stored blocks (s, e) for ascending ``ends``, one hit each."""
+        self.hits += len(ends)
+        row = self._rows.get(s)
+        d = ends - s
+        if row is None or len(row[0]) <= d[-1]:
+            raise KeyError((s, int(ends[-1])))
+        costs = row[0][d]
+        missing = np.isnan(costs)
+        if missing.any():
+            raise KeyError((s, int(ends[missing][0])))
+        return costs
+
+    def items(self):
+        """Yield ((start, end), (cost, converged, iterations)) for every stored block."""
+        for s, (costs, flags, iters) in self._rows.items():
+            for d in np.flatnonzero(~np.isnan(costs)).tolist():
+                yield (s, s + d), (float(costs[d]), bool(flags[d]), int(iters[d]))
 
     def stats(self) -> dict:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._data),
-            "screened": self.screened,
-            "bounded": self.bounded,
+            "hits": int(self.hits),
+            "misses": int(self.misses),
+            "entries": int(self._entries),
+            "screened": int(self.screened),
+            "bounded": int(self.bounded),
         }
 
 
@@ -276,7 +344,7 @@ def _sweep_costs(
       else from zero.
 
     A start whose blocks are all cached is skipped; otherwise its blocks are
-    swept and only the missing ones are stored.
+    swept and only the missing ones are written into the start's row.
     """
     g_all, xp_all = design_matrices(series, config)
     ev = math.exp(config.v)
@@ -288,27 +356,31 @@ def _sweep_costs(
     del abs_r
     T, M = series.T, series.M
     starts, ends = _grid_points(T, opts)
+    all_ends = np.asarray(ends)
     # chunks[k]: the zero-matrix nll of the columns between ends k-1 and k
     chunks = np.array(
         [0.0] + [zero_cols[a - 1 : b - 1].sum() for a, b in zip(ends, ends[1:])]
     )
-    data = cache._data
     solver = opts.solver
     nonconverged = 0
     first = 0  # ends[first] is the start's first admissible end
     for s in starts:
         while first < len(ends) and ends[first] - s + 1 < opts.min_segment:
             first += 1
-        keys = list(zip(repeat(s), ends[first:]))
-        new = [key not in data for key in keys]
-        fresh = sum(new)
-        cache.hits += len(keys) - fresh
+        block_ends = all_ends[first:]
+        if not len(block_ends):
+            continue
+        row_costs, row_flags, row_iters = cache._row(s, T - s + 1)
+        cells = block_ends - s
+        new = np.isnan(row_costs[cells])
+        fresh = int(np.count_nonzero(new))
+        cache.hits += len(cells) - fresh
         cache.misses += fresh
         if not fresh:
             continue
         lo = _window(s, T).start
         c0 = lo - 1  # window [lo, e] holds the columns [c0, e - 1)
-        n = np.asarray(ends[first:]) - lo  # columns per window
+        n = block_ends - lo  # columns per window
         bound = np.minimum(
             np.cumsum(row_terms[:, c0:], axis=1)[:, n - 1].max(axis=0),
             np.cumsum(col_terms[:, c0:], axis=1)[:, n - 1].max(axis=0),
@@ -316,8 +388,10 @@ def _sweep_costs(
         bounded = bound * (1.0 + 4.0 * n * _EPS) <= opts.lam * np.sqrt(n + 1)
         cost0 = chunks[first:].copy()
         cost0[0] = zero_cols[c0 : ends[first] - 1].sum()
-        entries = list(zip(np.cumsum(cost0).tolist(), repeat(True), repeat(0)))
-        n_bounded = int(np.count_nonzero(bounded & np.array(new)))
+        costs = np.cumsum(cost0)
+        flags = np.ones(len(cells), dtype=bool)
+        iters = np.zeros(len(cells), dtype=np.int64)
+        n_bounded = int(np.count_nonzero(bounded & new))
         screened = n_bounded
 
         grad0 = np.zeros((M, M))
@@ -329,25 +403,24 @@ def _sweep_costs(
             summed = e - 1
             thr = opts.lam * math.sqrt(e - lo + 1)
             if np.abs(grad0).max() <= thr:
-                screened += new[k]
+                screened += bool(new[k])
                 continue
             g = g_all[:, c0 : e - 1]
             xp = xp_all[:, c0 : e - 1]
-            A, f_rows, iters, converged, _ = _fit_kernel(
+            A, f_rows, its, converged, _ = _fit_kernel(
                 g, xp, config.v, thr, solver, warm if fitted == k - 1 else None
             )
             warm, fitted = A, k
-            cost = float(f_rows.sum()) + thr * float(np.abs(A).sum())
-            ok = bool(converged.all())
-            if new[k] and not ok:
+            costs[k] = float(f_rows.sum()) + thr * float(np.abs(A).sum())
+            flags[k] = converged.all()
+            iters[k] = its.max()
+            if new[k] and not flags[k]:
                 nonconverged += 1
-            entries[k] = (cost, ok, int(iters.max()))
         cache.bounded += n_bounded
         cache.screened += screened
-        if fresh == len(keys):
-            data.update(zip(keys, entries))
-        else:
-            data.update(kv for kv, is_new in zip(zip(keys, entries), new) if is_new)
+        cells = cells[new]
+        row_costs[cells], row_flags[cells], row_iters[cells] = costs[new], flags[new], iters[new]
+        cache._entries += fresh
     return nonconverged
 
 
@@ -413,29 +486,49 @@ def detect(
         return _report(series, config, opts, (), cache, nonconverged, t0)
 
     starts, ends = _grid_points(T, opts)
-    cost, gamma = cache.cost, opts.gamma
-    # B maps a covered prefix end to (objective, blocks, change points).
-    B: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 0, ())}
-    for e in ends:
-        best = None
-        for s in starts:
-            if s > e - opts.min_segment + 1:
-                break
-            prev = B.get(s - 1)
-            if prev is None:
-                continue
-            value = prev[0] + cost((s, e)) + gamma
-            # A larger value loses whatever follows, so only a candidate that
-            # can win or tie on value is built and compared in full.
-            if best is not None and value > best[0]:
-                continue
-            cand = (value, prev[1] + 1, prev[2] + (s,) if s > 1 else prev[2])
-            if best is None or cand < best:
-                best = cand
-        if best is not None:
-            B[e] = best
-    final = B[T]
-    return _report(series, config, opts, final[2], cache, nonconverged, t0)
+    all_ends = np.asarray(ends)
+    gamma = opts.gamma
+    # For every end e, the best partition of [1, e] found so far: its
+    # objective, its number of blocks and the start of its last block.
+    value = np.full(T + 1, np.inf)
+    blocks = np.zeros(T + 1, dtype=np.int64)
+    last = np.zeros(T + 1, dtype=np.int64)
+    reached = np.zeros(T + 1, dtype=bool)
+    value[0], reached[0] = 0.0, True
+    first = 0  # ends[first] is the start's first admissible end
+    for s in starts:
+        while first < len(ends) and ends[first] - s + 1 < opts.min_segment:
+            first += 1
+        if first == len(ends) or not reached[s - 1]:
+            continue
+        # B[s-1] is final: every block that ends at s-1 starts before s.
+        block_ends = all_ends[first:]
+        cand = (value[s - 1] + cache._block_costs(s, block_ends)) + gamma
+        old, seen = value[block_ends], reached[block_ends]
+        better = ~seen | (cand < old)
+        # An exact tie on value goes to fewer blocks, then to the smaller
+        # change points, as the tuple order (value, blocks, points) has it.
+        for k in np.flatnonzero(seen & (cand == old)).tolist():
+            e = int(block_ends[k])  # reached by an earlier start, so s > 1
+            mine = (int(blocks[s - 1]) + 1, _change_points(last, s - 1) + (s,))
+            better[k] = mine < (int(blocks[e]), _change_points(last, e))
+        won = block_ends[better]
+        value[won] = cand[better]
+        blocks[won] = blocks[s - 1] + 1
+        last[won] = s
+        reached[won] = True
+    return _report(series, config, opts, _change_points(last, T), cache, nonconverged, t0)
+
+
+def _change_points(last: np.ndarray, e: int) -> tuple[int, ...]:
+    """Change points of the best partition of [1, e], from last-block starts."""
+    points = []
+    while e > 0:
+        s = int(last[e])
+        if s > 1:
+            points.append(s)
+        e = s - 1
+    return tuple(reversed(points))
 
 
 def count_partitions(T: int, opts: DetectOptions) -> int:

@@ -366,7 +366,13 @@ cli.write_counts_csv(sys.argv[1], seppchange.generate_series(seq, config, 60, se
 series = cli.read_counts_csv(sys.argv[1])
 fit = seppchange.fit_interval(series, seppchange.Interval(1, 60), 1.0, config)
 assert np.any(fit.matrix != 0.0)
-report = seppchange.detect(series, config, seppchange.DetectOptions(lam=1.0, gamma=5.0, grid=5))
+opts = seppchange.DetectOptions(lam=1.0, gamma=5.0, grid=5)
+cache = seppchange.CostCache()
+report = seppchange.detect(series, config, opts, cache)
+again = seppchange.detect(series, config, opts, cache)  # on the filled cache
+assert again.change_points == report.change_points
+oracle = seppchange.exhaustive_search(series, config, opts, cache)
+assert oracle.change_points == report.change_points
 manifest = {"command": "detect", "argv": [], "version": seppchange.__version__}
 json.dumps(cli.report_json(series, config, report, manifest))
 seppchange.evaluate(list(report.change_points.points), [31], series.T)
@@ -376,10 +382,12 @@ seppchange.evaluate(list(report.change_points.points), [31], series.T)
 def test_library_calls_write_nothing(tmp_path):
     # A caller that runs the library in process owns stdout and stderr: the
     # calls a benchmark harness makes, and interpreter exit, print nothing.
+    # Warnings are errors, so a RuntimeWarning (say, from a reduction over
+    # NaN cells) fails the run instead of going to stderr.
     src = os.path.dirname(os.path.dirname(seppchange.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SILENT_SCRIPT, str(tmp_path / "counts.csv")],
+        [sys.executable, "-W", "error", "-c", SILENT_SCRIPT, str(tmp_path / "counts.csv")],
         capture_output=True,
         text=True,
         env=env,

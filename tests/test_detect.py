@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seppchange import (
     ChangePointSet,
@@ -154,6 +156,33 @@ class TestDetect:
         assert rep.change_points.points == (3, 5)
         oracle = exhaustive_search(series, config, opts, cache=cache)
         assert oracle.change_points.points == (3, 5)
+
+    @pytest.mark.parametrize(
+        "cheap, points",
+        [
+            # [1,2]+[3,4]+[5,8] and [1,6]+[7,8] both score 0: fewer blocks win
+            ({(1, 2), (3, 4), (5, 8), (1, 6), (7, 8)}, (7,)),
+            # [1,3]+[4,5]+[6,8] and [1,2]+[3,6]+[7,8]: the smaller points win
+            ({(1, 3), (4, 5), (6, 8), (1, 2), (3, 6), (7, 8)}, (3, 7)),
+        ],
+    )
+    def test_tie_won_by_a_later_start(self, cheap, points):
+        # Every block costs 5 except the cheap ones, which cost 0, and gamma is
+        # 0.  The partition that reaches T first, from the earlier start, ties
+        # with one from a later start that the tie-break prefers, so the later
+        # start must replace it.
+        T = 8
+        series = EventSeries(np.zeros((1, T), dtype=int))
+        config = ModelConfig(v=0.0, clip=2.0)
+        opts = DetectOptions(lam=1.0, gamma=0.0)
+        cache = CostCache()
+        detect(series, config, opts, cache=cache)
+        for s in range(1, T + 1):
+            for e in range(s + 1, T + 1):
+                cache.put((s, e), (0.0 if (s, e) in cheap else 5.0, True, 0))
+        assert detect(series, config, opts, cache=cache).change_points.points == points
+        oracle = exhaustive_search(series, config, opts, cache=cache)
+        assert oracle.change_points.points == points
 
     def test_objective_accounting(self):
         rng = np.random.default_rng(5)
@@ -480,6 +509,64 @@ class TestExhaustive:
             )
 
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dp_equals_enumeration(self, data):
+        M = data.draw(st.integers(min_value=1, max_value=3))
+        T = data.draw(st.integers(min_value=4, max_value=12))
+        if data.draw(st.booleans()):
+            counts = np.zeros((M, T), dtype=int)
+        else:
+            cells = st.integers(min_value=0, max_value=4)
+            counts = np.array(data.draw(st.lists(cells, min_size=M * T, max_size=M * T)))
+        series = EventSeries(counts.reshape(M, T))
+        config = ModelConfig(v=data.draw(st.floats(min_value=-0.2, max_value=0.6)), clip=3.0)
+        opts = DetectOptions(
+            lam=data.draw(st.floats(min_value=0.0, max_value=3.0)),
+            gamma=data.draw(st.sampled_from([0.0, 0.5, 2.0, 6.0])),
+            min_segment=data.draw(st.integers(min_value=2, max_value=3)),
+            grid=data.draw(st.integers(min_value=1, max_value=2)),
+        )
+        got = detect(series, config, opts)
+        want = exhaustive_search(series, config, opts)
+        assert got.change_points.points == want.change_points.points
+        assert got.total_objective == pytest.approx(want.total_objective, rel=1e-12, abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dp_equals_enumeration_on_staged_ties(self, data):
+        # Small-integer block costs with an integer gamma make many partitions
+        # tie on value, so the recursion's tie path settles most of the ends:
+        # it must pick what enumeration picks, the fewest blocks and then the
+        # smallest change points.
+        M = data.draw(st.integers(min_value=1, max_value=2))
+        T = data.draw(st.integers(min_value=4, max_value=12))
+        series = EventSeries(np.zeros((M, T), dtype=int))
+        config = ModelConfig(v=0.0, clip=2.0)
+        opts = DetectOptions(
+            lam=1.0,
+            gamma=data.draw(st.sampled_from([0.0, 1.0, 2.0])),
+            min_segment=data.draw(st.integers(min_value=2, max_value=3)),
+            grid=data.draw(st.integers(min_value=1, max_value=2)),
+        )
+        cache = CostCache()
+        detect(series, config, opts, cache=cache)
+        table = {}
+        for s in range(1, T + 1):
+            for e in range(s + 1, T + 1):
+                table[s, e] = float(data.draw(st.integers(min_value=0, max_value=2)))
+                cache.put((s, e), (table[s, e], True, 0))
+        got = detect(series, config, opts, cache=cache).change_points.points
+        want = exhaustive_search(series, config, opts, cache=cache).change_points.points
+        assert got == want
+
+        def staged(points):
+            bounds = (1,) + points + (T + 1,)
+            return sum(table[a, b - 1] + opts.gamma for a, b in zip(bounds, bounds[1:]))
+
+        assert staged(got) == staged(want)
+
+
 class TestCache:
     def test_context_mismatch_rejected(self):
         rng = np.random.default_rng(13)
@@ -539,15 +626,16 @@ class TestCache:
         coarse, fine = (DetectOptions(lam=0.4, gamma=0.3, grid=g) for g in (3, 1))
         cache, fresh = CostCache(), CostCache()
         detect(series, config, coarse, cache=cache)
-        before = dict(cache._data)
+        before = dict(cache.items())
         got = detect(series, config, fine, cache=cache)
         want = detect(series, config, fine, cache=fresh)
         assert got.change_points.points == want.change_points.points
         assert got.total_objective == pytest.approx(want.total_objective, rel=1e-9)
-        assert 0 < len(before) < len(fresh._data) == len(cache._data)
+        stored = dict(cache.items())
+        assert 0 < len(before) < len(dict(fresh.items())) == len(stored)
         assert cache.misses == fresh.misses  # each block missed by one sweep
-        for key, entry in fresh._data.items():
-            assert cache._data[key] == before.get(key, entry), key
+        for key, entry in fresh.items():
+            assert stored[key] == before.get(key, entry), key
 
     def test_stats_in_report(self):
         rng = np.random.default_rng(15)
@@ -555,6 +643,8 @@ class TestCache:
         rep = detect(series, config, DetectOptions(lam=1.0, gamma=1.0))
         assert rep.cache_stats["entries"] > 0
         assert rep.cache_stats["misses"] >= rep.cache_stats["entries"]
+        # plain ints: a numpy integer divided by 0.0 gives inf, not an error
+        assert all(isinstance(v, int) for v in rep.cache_stats.values())
 
 
 class TestOptionsValidation:
