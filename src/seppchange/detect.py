@@ -16,26 +16,26 @@ block counts.  The Bellman recursion
     cost([s, e]) = H(Ahat(W), W),   W = [max(s-1, 1), e],
 
 is exact; ties are resolved toward fewer blocks and then the lexicographically
-smallest change-point vector.  Partitions are ranked by the exact sum of
-their float block costs and gammas, not by its rounded value: rounding is
-not associative, so two partitions that tie, or nearly tie, in exact
-arithmetic can round in either order, and a prefix that rounds strictly
-worse can round level with the best once a later block is added.  A
-K-block objective folded in floats lies within K * 2**-50 * sum|terms| of
-its exact value, so the float comparison decides whenever the two values
-lie further apart than their two bounds, and only the rest are compared in
-exact rational arithmetic.
+smallest change-point vector.  Block costs are memoized in one row per start,
+an array over the start's ends, and consecutive fits along a start's sweep
+share warm starts, which is what makes the O(T^2) scan affordable.  The
+recursion runs push-style over starts: B[s-1] is final when start s comes up,
+because every block that ends at s-1 starts before s, so start s relaxes the
+best value seen so far for all of its ends with one vector operation on its
+cost row.  The float operations are those of the textbook pull-style min, in
+the same order.  An exact tie on value goes to fewer blocks, compared as a
+vector, and a tie on blocks too to the smaller change points, found in
+Python by walking both partitions back along their last-block starts until
+they meet.
 
-Block costs are memoized in one row per start, an array over the start's
-ends, and consecutive fits along a start's sweep share warm starts, which is
-what makes the O(T^2) scan affordable.  The recursion runs push-style over
-starts: B[s-1] is final when start s comes up, because every block that
-ends at s-1 starts before s, so start s relaxes the best partition seen so
-far for all of its ends with a few vector operations on its cost row.  The
-rare near ties are settled in Python by (exact value, blocks, change
-points), the change points rebuilt from back-pointers.
-``exhaustive_search`` enumerates every admissible partition through the same
-cost cache, ranks them the same way, and exists to validate ``detect``.
+Values are floats folded block by block, and that fold is not associative:
+a prefix that loses by a rounding residue can round level with the winner
+once a later block is added.  The recursion has then dropped it, so where
+partitions tie in real arithmetic (gamma = 0 with every fit zero, say) the
+returned partition is a minimizer of the float objective but not always the
+one with the fewest blocks.  ``exhaustive_search`` enumerates every
+admissible partition through the same cost cache, compares whole float
+objectives, and exists to validate ``detect``.
 
 Most windows need no solver at all.  Zero lies strictly inside the row-norm
 ball, so by the KKT condition at A = 0 row m of the fit on window W is exactly
@@ -74,7 +74,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -329,10 +328,6 @@ def _window(s: int, e: int) -> Interval:
 
 
 _EPS = float(np.finfo(np.float64).eps)
-# A K-block objective folded in floats (2K additions) is within
-# K * _SUM_ERR * sum|terms| of its exact value; 2**-50 is twice the classic
-# bound 2K * u / (1 - 2K * u) with u = 2**-53.
-_SUM_ERR = 2.0**-50
 
 
 def _sweep_costs(
@@ -486,7 +481,8 @@ def detect(
     """Exact minimization of the penalized partition objective.
 
     Among minimizers the returned partition has the fewest blocks and then the
-    lexicographically smallest change points.  Solver non-convergence inside
+    lexicographically smallest change points, up to the rounding of near ties
+    described in the module docstring.  Solver non-convergence inside
     any interval fit is propagated as a count, never an abort.
     """
     t0 = time.perf_counter()
@@ -502,12 +498,9 @@ def detect(
     starts, ends = _grid_points(T, opts)
     all_ends = np.asarray(ends)
     gamma = opts.gamma
-    # For every end e, the best partition of [1, e] found so far: its float
-    # objective, the sum of the magnitudes of its terms (which bounds the
-    # objective's rounding error), its number of blocks and the start of its
-    # last block.
+    # For every end e, the best partition of [1, e] found so far: its
+    # objective, its number of blocks and the start of its last block.
     value = np.full(T + 1, np.inf)
-    absum = np.zeros(T + 1)
     blocks = np.zeros(T + 1, dtype=np.int64)
     last = np.zeros(T + 1, dtype=np.int64)
     reached = np.zeros(T + 1, dtype=bool)
@@ -520,25 +513,20 @@ def detect(
             continue
         # B[s-1] is final: every block that ends at s-1 starts before s.
         block_ends = all_ends[first:]
-        costs = cache._block_costs(s, block_ends)
-        cand = (value[s - 1] + costs) + gamma
-        cand_abs = (absum[s - 1] + np.abs(costs)) + gamma
-        seen = reached[block_ends]
-        diff = cand - value[block_ends]
-        slack = _SUM_ERR * (
-            (blocks[s - 1] + 1) * cand_abs + blocks[block_ends] * absum[block_ends]
-        )
-        near = seen & (np.abs(diff) <= slack)
-        better = ~seen | ((diff < 0) & ~near)
-        # Where the float values cannot order the two partitions, rank them
-        # exactly: by value, then fewer blocks, then smaller change points.
-        for k in np.flatnonzero(near).tolist():
-            e = int(block_ends[k])  # reached by an earlier start, so s > 1
-            mine = _exact_rank(cache, _change_points(last, s - 1) + (s,), e, gamma)
-            better[k] = mine < _exact_rank(cache, _change_points(last, e), e, gamma)
+        cand = (value[s - 1] + cache._block_costs(s, block_ends)) + gamma
+        old, seen = value[block_ends], reached[block_ends]
+        better = ~seen | (cand < old)
+        # An exact tie on value goes to fewer blocks, then to the smaller
+        # change points, as the tuple order (value, blocks, points) has it.
+        ties = np.flatnonzero(seen & (cand == old))
+        if len(ties):
+            mine, theirs = blocks[s - 1] + 1, blocks[block_ends[ties]]
+            better[ties[mine < theirs]] = True
+            for k in ties[mine == theirs].tolist():
+                # reached by an earlier start, so last[e] < s
+                better[k] = _smaller_points(last, s, int(last[block_ends[k]]))
         won = block_ends[better]
         value[won] = cand[better]
-        absum[won] = cand_abs[better]
         blocks[won] = blocks[s - 1] + 1
         last[won] = s
         reached[won] = True
@@ -556,21 +544,19 @@ def _change_points(last: np.ndarray, e: int) -> tuple[int, ...]:
     return tuple(reversed(points))
 
 
-def _exact_rank(
-    cache: CostCache, points: tuple[int, ...], e: int, gamma: float
-) -> tuple[Fraction, int, tuple[int, ...]]:
-    """Rank of the partition of [1, e] with these change points, in exact arithmetic.
+def _smaller_points(last: np.ndarray, s: int, t: int) -> bool:
+    """Whether ending in a block that starts at s gives smaller change points.
 
-    The objective is the exact sum of the stored block costs and gammas;
-    ties go to fewer blocks, then to smaller change points.  Costs are read
-    without counting hits, so ``cache_stats`` does not depend on how many
-    near ties there were.
+    The two partitions end in blocks that start at s and at t and have equal
+    block counts, so walking both back one block at a time keeps them at the
+    same depth.  Once their block starts meet, the earlier change points are
+    shared, and the last pair that differed is the first difference.
     """
-    bounds = (1,) + points + (e + 1,)
-    total = Fraction(0)
-    for a, b in zip(bounds, bounds[1:]):
-        total += Fraction(cache._lookup((a, b - 1))[0]) + Fraction(gamma)
-    return total, len(points), points
+    smaller = False
+    while s != t:
+        smaller = s < t
+        s, t = int(last[s - 1]), int(last[t - 1])
+    return smaller
 
 
 def count_partitions(T: int, opts: DetectOptions) -> int:
@@ -597,9 +583,12 @@ def exhaustive_search(
 ) -> DetectionReport:
     """Enumerate every admissible partition and return the objective minimizer.
 
-    Uses the same interval costs, accumulation order, exact ranking of near
-    ties and tie-breaking as detect(); exists solely as a validation oracle
-    and refuses instances with more than 2**20 admissible partitions.
+    Uses the same interval costs and the same accumulation order and
+    tie-breaking as detect(), applied to whole partitions; exists solely as a
+    validation oracle and refuses instances with more than 2**20 admissible
+    partitions.  Where a prefix lost by a rounding residue that a later block
+    absorbs, the two can return different float minimizers (see the module
+    docstring).
     """
     t0 = time.perf_counter()
     T = series.T
@@ -619,24 +608,17 @@ def exhaustive_search(
 
     starts, ends = _grid_points(T, opts)
     start_set = set(starts)
-    gamma = opts.gamma
-    best: tuple[float, float, int, tuple[int, ...]] | None = None
+    best: tuple[float, int, tuple[int, ...]] | None = None
 
     # Depth-first over block boundaries; the running value folds cost + gamma
-    # per block exactly like the Bellman recursion does, and absum sums the
-    # magnitudes of the same terms to bound the value's rounding error.
-    stack = [(0, 0.0, 0.0, 0, ())]
+    # per block exactly like the Bellman recursion does.
+    stack = [(0, 0.0, 0, ())]
     while stack:
-        covered, value, absum, k, cps = stack.pop()
+        covered, value, k, cps = stack.pop()
         if covered == T:
-            if best is None:
-                better = True
-            elif abs(value - best[0]) > _SUM_ERR * (k * absum + best[2] * best[1]):
-                better = value < best[0]
-            else:
-                better = _exact_rank(cache, cps, T, gamma) < _exact_rank(cache, best[3], T, gamma)
-            if better:
-                best = (value, absum, k, cps)
+            cand = (value, k, cps)
+            if best is None or cand < best:
+                best = cand
             continue
         s = covered + 1
         if s not in start_set:
@@ -644,14 +626,12 @@ def exhaustive_search(
         for e in ends:
             if e - s + 1 < opts.min_segment:
                 continue
-            cost = cache.cost((s, e))
             stack.append(
                 (
                     e,
-                    value + cost + gamma,
-                    absum + abs(cost) + gamma,
+                    value + cache.cost((s, e)) + opts.gamma,
                     k + 1,
                     cps + (s,) if s > 1 else cps,
                 )
             )
-    return _report(series, config, opts, best[3], cache, nonconverged, t0)
+    return _report(series, config, opts, best[2], cache, nonconverged, t0)

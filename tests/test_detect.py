@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -481,6 +480,31 @@ class TestGrid:
             assert coarse.total_objective >= exact.total_objective - 1e-9
 
 
+def float_folds(table, T, opts, end):
+    """Float objective of every admissible partition of [1, end], by change points.
+
+    Partitions use the starts and ends of the full [1, T] problem and fold
+    cost + gamma block by block, as detect and exhaustive_search do.
+    """
+    starts = range(1, T + 1, opts.grid)
+    ends = sorted({s - 1 for s in starts if s > 1} | {T})
+    folds = {}
+
+    def walk(covered, value, points):
+        if covered == end:
+            folds[points] = value
+            return
+        s = covered + 1
+        if s not in starts:
+            return
+        for e in ends:
+            if e <= end and e - s + 1 >= opts.min_segment:
+                walk(e, value + table[s, e] + opts.gamma, points + ((s,) if s > 1 else ()))
+
+    walk(0, 0.0, ())
+    return folds
+
+
 class TestExhaustive:
     def test_partition_counts(self):
         opts = DetectOptions(lam=1.0, gamma=1.0, min_segment=2)
@@ -509,22 +533,24 @@ class TestExhaustive:
                 want.total_objective, rel=1e-9
             )
 
-    def test_near_tie_ranked_exactly(self):
-        # c(1,2) + c(3,4) lies one rounding residue below c(1,4), and adding
-        # c(5,6) rounds both partitions (3, 5) and (5,) to the same float.  The
-        # recursion settles [1, 4] on its prefix, while a float comparison of
-        # whole partitions calls the final values a tie and takes fewer
-        # blocks; both must rank by the exact sums and agree.
+    def test_near_tie_dropped_on_a_prefix(self):
+        # c(1,2) + c(3,4) lies one rounding residue below c(1,4), so the
+        # recursion settles [1, 4] on two blocks, as the pull-style recursion
+        # did.  Adding c(5,6) rounds (3, 5) and (5,) to the same float, and
+        # enumeration, comparing whole objectives, takes fewer blocks.  Both
+        # are minimizers of the float objective.
         series = EventSeries(np.array([[0, 1, 0, 0, 1, 1]]))
         config = ModelConfig(v=0.53125, clip=3.0)
         opts = DetectOptions(lam=0.0, gamma=0.0, grid=2)
         cache = CostCache()
         got = detect(series, config, opts, cache=cache)
         want = exhaustive_search(series, config, opts, cache=cache)
-        assert got.change_points.points == want.change_points.points == (3, 5)
+        assert got.change_points.points == (3, 5)
+        assert want.change_points.points == (5,)
+        assert got.total_objective == want.total_objective
         c = {key: entry[0] for key, entry in cache.items()}
+        assert c[1, 2] + c[3, 4] < c[1, 4]
         assert (c[1, 2] + c[3, 4]) + c[5, 6] == c[1, 4] + c[5, 6]
-        assert Fraction(c[1, 2]) + Fraction(c[3, 4]) < Fraction(c[1, 4])
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -544,10 +570,25 @@ class TestExhaustive:
             min_segment=data.draw(st.integers(min_value=2, max_value=3)),
             grid=data.draw(st.integers(min_value=1, max_value=2)),
         )
-        got = detect(series, config, opts)
-        want = exhaustive_search(series, config, opts)
-        assert got.change_points.points == want.change_points.points
+        cache = CostCache()
+        got = detect(series, config, opts, cache=cache)
+        want = exhaustive_search(series, config, opts, cache=cache)
         assert got.total_objective == pytest.approx(want.total_objective, rel=1e-12, abs=1e-12)
+        g, w = got.change_points.points, want.change_points.points
+        table = {key: entry[0] for key, entry in cache.items()}
+        folds = float_folds(table, T, opts, T)
+        assert folds[g] == folds[w] == min(folds.values())
+        if g != w:
+            # Enumeration takes the fewest blocks and then the smallest points
+            # among the float minimizers.  The recursion can only have dropped
+            # that partition on one of its prefixes, by a strict float loss
+            # that a later block rounded away.
+            assert (len(w), w) < (len(g), g)
+            assert any(
+                (prefix := float_folds(table, T, opts, c - 1))[tuple(p for p in w if p < c)]
+                > min(prefix.values())
+                for c in w
+            )
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
