@@ -16,17 +16,20 @@ block counts.  The Bellman recursion
     cost([s, e]) = H(Ahat(W), W),   W = [max(s-1, 1), e],
 
 is exact; ties are resolved toward fewer blocks and then the lexicographically
-smallest change-point vector.  Block costs are memoized in one row per start,
-an array over the start's ends, and consecutive fits along a start's sweep
-share warm starts, which is what makes the O(T^2) scan affordable.  The
-recursion runs push-style over starts: B[s-1] is final when start s comes up,
-because every block that ends at s-1 starts before s, so start s relaxes the
-best value seen so far for all of its ends with one vector operation on its
-cost row.  The float operations are those of the textbook pull-style min, in
-the same order.  An exact tie on value goes to fewer blocks, compared as a
-vector, and a tie on blocks too to the smaller change points, found in
-Python by walking both partitions back along their last-block starts until
-they meet.
+smallest change-point vector.  Block costs come as one row per start, an
+array over the start's ends, and consecutive fits along a start's sweep share
+warm starts, which is what makes the O(T^2) scan affordable.  Each row goes
+into the recursion as soon as its start is swept: the recursion runs
+push-style over starts, and B[s-1] is final when start s comes up, because
+every block that ends at s-1 starts before s, so start s relaxes the best
+value seen so far for all of its ends with one vector operation on its row.
+So ``detect`` keeps no cost table: without a cache it holds the O(T) state
+of the recursion and the current row, and only a ``CostCache`` passed in
+keeps the rows.  The float operations are those of the textbook pull-style
+min, in the same order.  An exact tie on value goes to fewer blocks,
+compared as a vector, and a tie on blocks too to the smaller change points,
+found in Python by walking both partitions back along their last-block
+starts until they meet.
 
 Values are floats folded block by block, and that fold is not associative:
 a prefix that loses by a rounding residue can round level with the winner
@@ -59,7 +62,10 @@ The sweep settles each window by the cheapest test that can decide it:
    A window whose smaller bound, inflated by the slack 1 + 4 n eps for its
    n columns, stays within lam * sqrt(|W|) is zero.  The slack exceeds the
    rounding error of the bound and of the exact gradient together, so the
-   bound settles only windows that the exact test settles too.
+   bound settles only windows that the exact test settles too.  Rounding a
+   product with the slack is monotone, so the smaller bound passes iff one
+   of them does: the column bound is summed only for the starts where the
+   row bound leaves a window open.
 2. The exact test, on an M x M running sum of the gradient that takes the
    columns since the last exact test in one matmul.
 3. The solver, for the windows that fail both.
@@ -139,18 +145,22 @@ class CostCache:
     fitted intervals for interval_cost().  It refuses reuse under a different
     context, so detect() and exhaustive_search() can safely share one instance.
 
-    Each start that is swept or ``put`` owns one row: a cost array (NaN where
-    no cost is stored), a converged array and an iterations array, all indexed
-    by end - start.  A row is allocated on its start's first sweep or ``put``
-    and grown when a ``put`` reaches past it, so memory is O(swept starts x T),
-    and the sweep and the push-style recursion read and write a start's ends
-    with vector operations.  Entries are (cost, converged, iterations) and are
-    never evicted: the sweep stores every block cost before the partition
-    search reads one.  ``hits`` and ``misses`` count block lookups, one per
-    block, whether looked up alone or as part of a row.  ``screened`` counts
-    the block costs the sweep took from the zero test instead of a fit, and
+    ``detect`` needs no cache: without one it streams each start's cost row
+    into the recursion and keeps none of them.  A cache passed in is both a
+    source and a sink.  Each start that is swept or ``put`` owns one row: a
+    cost array (NaN where no cost is stored), a converged array and an
+    iterations array, all indexed by end - start.  A row is allocated on its
+    start's first sweep or ``put`` and grown when a ``put`` reaches past it, so
+    memory is O(swept starts x T).  A start whose row holds all of its blocks
+    is read instead of swept; a start with blocks missing is swept, only the
+    missing blocks are written, and the recursion reads the row as the cache
+    then holds it.  Entries are (cost, converged, iterations) and are never
+    evicted.  ``hits`` and ``misses`` count block lookups, one per block,
+    whether looked up alone or as part of a row.  ``screened`` counts the
+    block costs the sweep took from the zero test instead of a fit, and
     ``bounded`` those among them that the bound settled without the exact
-    test; each screened cost is also counted as a miss.
+    test; each screened cost is also counted as a miss.  A detect without a
+    cache reports the same counts as one with a fresh cache.
     """
 
     def __init__(self) -> None:
@@ -218,23 +228,10 @@ class CostCache:
             raise KeyError(key)
         return entry[0]
 
-    def _block_costs(self, s: int, ends: np.ndarray) -> np.ndarray:
-        """Costs of the stored blocks (s, e) for ascending ``ends``, one hit each."""
-        self.hits += len(ends)
-        row = self._rows.get(s)
-        d = ends - s
-        if row is None or len(row[0]) <= d[-1]:
-            raise KeyError((s, int(ends[-1])))
-        costs = row[0][d]
-        missing = np.isnan(costs)
-        if missing.any():
-            raise KeyError((s, int(ends[missing][0])))
-        return costs
-
     def items(self):
         """Yield ((start, end), (cost, converged, iterations)) for every stored block."""
         for s, (costs, flags, iters) in self._rows.items():
-            for d in np.flatnonzero(~np.isnan(costs)).tolist():
+            for d in (~np.isnan(costs)).nonzero()[0].tolist():
                 yield (s, s + d), (float(costs[d]), bool(flags[d]), int(iters[d]))
 
     def stats(self) -> dict:
@@ -328,32 +325,40 @@ def _window(s: int, e: int) -> Interval:
 
 
 _EPS = float(np.finfo(np.float64).eps)
+_GRAD_FLOATS = 2**13  # floats per batch of running gradients in _zero_gradient
 
 
-def _sweep_costs(
+def _cost_rows(
     series: EventSeries,
     config: ModelConfig,
     opts: DetectOptions,
     cache: CostCache,
-) -> int:
-    """Fill the cache with every admissible block cost; returns nonconverged count.
+    keep: bool = True,
+):
+    """Yield (s, block_ends, costs, nonconverged) for each start, s ascending.
 
-    Each start is swept on its own, its ends in increasing order, through the
-    three levels of the module docstring:
+    ``costs[k]`` is the cost of block (s, block_ends[k]) and ``nonconverged``
+    the number of those costs, among the ones computed here, whose fit did
+    not converge.  Each start is swept on its own, its ends in increasing
+    order, through the three levels of the module docstring:
 
-    * For all ends at once: the row and column bounds, as cumulative sums
-      over the start's columns, and the zero-matrix nll cost0.  cost0 adds
-      the columns between consecutive ends one chunk at a time, in the same
-      order whichever level settles the window.
-    * For each window the bound leaves open, in order: the exact test on
-      grad0, the gradient at zero, an M x M running sum that adds every
-      column since the previous open window in one matmul.
+    * For all ends at once: the row bound, a cumulative sum over the start's
+      columns, and the zero-matrix nll cost0.  The column bound is summed
+      only when the row bound leaves a window open, and only as far as the
+      last such window.  cost0 adds the columns between consecutive ends one
+      chunk at a time, in the same order whichever level settles the window.
+    * For the windows the bounds leave open: the exact test on grad0, the
+      gradient at zero, an M x M running sum that adds every column since
+      the previous open window in one matmul (``_zero_gradient``).
     * For each window the exact test leaves open: the solver, warm-started
       from the fit of the start's previous window if the solver ran there,
       else from zero.
 
-    A start whose blocks are all cached is skipped; otherwise its blocks are
-    swept and only the missing ones are written into the start's row.
+    With ``keep`` the cache is both source and sink: a start whose blocks
+    are all stored is read, not swept; otherwise its blocks are swept, only
+    the missing ones are written into the start's row, and the row is
+    yielded as the cache then holds it.  Without ``keep`` nothing is stored
+    and every start is swept; the cache only counts, as if it stored.
     """
     g_all, xp_all = design_matrices(series, config)
     ev = math.exp(config.v)
@@ -364,6 +369,10 @@ def _sweep_costs(
     col_terms = abs_r.max(axis=0) * g_all  # max_m |r_m(t)| g_j(t)
     del abs_r
     T, M = series.T, series.M
+    # by window size n (columns): the bound's slack and the threshold
+    sizes = np.arange(T + 1)
+    slack = 1.0 + 4.0 * sizes * _EPS
+    limit = opts.lam * np.sqrt(sizes + 1)
     starts, ends = _grid_points(T, opts)
     all_ends = np.asarray(ends)
     # chunks[k]: the zero-matrix nll of the columns between ends k-1 and k
@@ -371,49 +380,54 @@ def _sweep_costs(
         [0.0] + [zero_cols[a - 1 : b - 1].sum() for a, b in zip(ends, ends[1:])]
     )
     solver = opts.solver
-    nonconverged = 0
     first = 0  # ends[first] is the start's first admissible end
     for s in starts:
         while first < len(ends) and ends[first] - s + 1 < opts.min_segment:
             first += 1
+        if first == len(ends):
+            return
         block_ends = all_ends[first:]
-        if not len(block_ends):
-            continue
-        row_costs, row_flags, row_iters = cache._row(s, T - s + 1)
         cells = block_ends - s
-        new = np.isnan(row_costs[cells])
-        fresh = int(np.count_nonzero(new))
-        cache.hits += len(cells) - fresh
+        if keep:
+            row_costs, row_flags, row_iters = cache._row(s, T - s + 1)
+            new = np.isnan(row_costs[cells])
+            fresh = int(np.count_nonzero(new))
+            cache.hits += len(cells) - fresh
+            if not fresh:
+                yield s, block_ends, row_costs[cells], 0
+                continue
+        else:
+            new = np.ones(len(cells), dtype=bool)
+            fresh = len(cells)
         cache.misses += fresh
-        if not fresh:
-            continue
-        lo = _window(s, T).start
+        cache._entries += fresh
+        lo = max(s - 1, 1)
         c0 = lo - 1  # window [lo, e] holds the columns [c0, e - 1)
         n = block_ends - lo  # columns per window
-        bound = np.minimum(
-            np.cumsum(row_terms[:, c0:], axis=1)[:, n - 1].max(axis=0),
-            np.cumsum(col_terms[:, c0:], axis=1)[:, n - 1].max(axis=0),
-        )
-        bounded = bound * (1.0 + 4.0 * n * _EPS) <= opts.lam * np.sqrt(n + 1)
+        slack_n, limit_n = slack[n], limit[n]
+        bounded = np.cumsum(row_terms[:, c0:], axis=1).max(axis=0)[n - 1] * slack_n <= limit_n
+        # min(rb, cb) * slack <= limit iff either one passes: rounding is monotone
+        left = (~bounded).nonzero()[0]
+        if len(left):
+            span = c0 + n[left[-1]]
+            col = np.cumsum(col_terms[:, c0:span], axis=1).max(axis=0)[n[left] - 1]
+            bounded[left] = col * slack_n[left] <= limit_n[left]
+        zero = bounded.copy()
+        left = (~bounded).nonzero()[0]
+        if len(left):
+            zero[left] = _zero_gradient(resid, g_all, c0, block_ends[left] - 1, limit_n[left])
         cost0 = chunks[first:].copy()
         cost0[0] = zero_cols[c0 : ends[first] - 1].sum()
         costs = np.cumsum(cost0)
         flags = np.ones(len(cells), dtype=bool)
         iters = np.zeros(len(cells), dtype=np.int64)
         n_bounded = int(np.count_nonzero(bounded & new))
-        screened = n_bounded
-
-        grad0 = np.zeros((M, M))
-        summed = c0  # grad0 holds the columns [c0, summed)
+        screened = int(np.count_nonzero(zero & new))
+        nonconverged = 0
         warm, fitted = None, -1  # fitted: the last window the solver ran on
-        for k in np.flatnonzero(~bounded).tolist():
+        for k in (~zero).nonzero()[0].tolist():
             e = ends[first + k]
-            grad0 += resid[:, summed : e - 1] @ g_all[:, summed : e - 1].T
-            summed = e - 1
             thr = opts.lam * math.sqrt(e - lo + 1)
-            if np.abs(grad0).max() <= thr:
-                screened += bool(new[k])
-                continue
             g = g_all[:, c0 : e - 1]
             xp = xp_all[:, c0 : e - 1]
             A, f_rows, its, converged, _ = _fit_kernel(
@@ -427,10 +441,49 @@ def _sweep_costs(
                 nonconverged += 1
         cache.bounded += n_bounded
         cache.screened += screened
-        cells = cells[new]
-        row_costs[cells], row_flags[cells], row_iters[cells] = costs[new], flags[new], iters[new]
-        cache._entries += fresh
-    return nonconverged
+        if keep:
+            put = cells[new]
+            row_costs[put], row_flags[put], row_iters[put] = costs[new], flags[new], iters[new]
+            costs = row_costs[cells]
+        yield s, block_ends, costs, nonconverged
+
+
+def _zero_gradient(
+    resid: np.ndarray,
+    g_all: np.ndarray,
+    c0: int,
+    stops: np.ndarray,
+    limits: np.ndarray,
+) -> np.ndarray:
+    """The exact zero test of the windows holding the columns [c0, stop).
+
+    Returns, for each of the ascending ``stops``, whether max |grad0| is at
+    most its limit.  grad0 is an M x M running sum: each window adds the
+    columns since the previous one, in one matmul, or as their outer product
+    when that is one column, which is the same product.  The steps of a batch
+    of windows are made together and the max taken over all their sums.
+    """
+    M = resid.shape[0]
+    per = max(1, _GRAD_FLOATS // (M * M))
+    passed = np.empty(len(stops), dtype=bool)
+    grad0 = np.zeros((M, M))
+    begin = c0
+    for lo in range(0, len(stops), per):
+        ends = stops[lo : lo + per]
+        begins = np.concatenate(([begin], ends[:-1]))
+        sums = np.empty((len(ends), M, M))
+        np.einsum("ik,jk->kij", resid[:, begins], g_all[:, begins], out=sums)  # no buffers
+        for i in (ends - begins > 1).nonzero()[0].tolist():
+            a, b = begins[i], ends[i]
+            sums[i] = resid[:, a:b] @ g_all[:, a:b].T
+        for step in sums:
+            np.add(grad0, step, out=step)
+            grad0 = step
+        grad0 = grad0.copy()
+        np.abs(sums, out=sums)
+        passed[lo : lo + per] = sums.reshape(len(ends), -1).max(axis=1) <= limits[lo : lo + per]
+        begin = ends[-1]
+    return passed
 
 
 def _refit_segments(
@@ -487,16 +540,17 @@ def detect(
     """
     t0 = time.perf_counter()
     T = series.T
+    keep = cache is not None
     if cache is None:
-        cache = CostCache()
+        cache = CostCache()  # counts only
     cache.bind(_context("block", series, config, opts.lam, opts.solver))
-    nonconverged = _sweep_costs(series, config, opts, cache)
-
+    rows = _cost_rows(series, config, opts, cache, keep)
+    nonconverged = 0
     if T < 2 * opts.min_segment:
+        for *_, bad in rows:
+            nonconverged += bad
         return _report(series, config, opts, (), cache, nonconverged, t0)
 
-    starts, ends = _grid_points(T, opts)
-    all_ends = np.asarray(ends)
     gamma = opts.gamma
     # For every end e, the best partition of [1, e] found so far: its
     # objective, its number of blocks and the start of its last block.
@@ -505,20 +559,18 @@ def detect(
     last = np.zeros(T + 1, dtype=np.int64)
     reached = np.zeros(T + 1, dtype=bool)
     value[0], reached[0] = 0.0, True
-    first = 0  # ends[first] is the start's first admissible end
-    for s in starts:
-        while first < len(ends) and ends[first] - s + 1 < opts.min_segment:
-            first += 1
-        if first == len(ends) or not reached[s - 1]:
+    for s, block_ends, costs, bad in rows:
+        nonconverged += bad
+        if not reached[s - 1]:
             continue
         # B[s-1] is final: every block that ends at s-1 starts before s.
-        block_ends = all_ends[first:]
-        cand = (value[s - 1] + cache._block_costs(s, block_ends)) + gamma
+        cache.hits += len(block_ends)
+        cand = (value[s - 1] + costs) + gamma
         old, seen = value[block_ends], reached[block_ends]
         better = ~seen | (cand < old)
         # An exact tie on value goes to fewer blocks, then to the smaller
         # change points, as the tuple order (value, blocks, points) has it.
-        ties = np.flatnonzero(seen & (cand == old))
+        ties = (seen & (cand == old)).nonzero()[0]
         if len(ties):
             mine, theirs = blocks[s - 1] + 1, blocks[block_ends[ties]]
             better[ties[mine < theirs]] = True
@@ -601,7 +653,7 @@ def exhaustive_search(
     if cache is None:
         cache = CostCache()
     cache.bind(_context("block", series, config, opts.lam, opts.solver))
-    nonconverged = _sweep_costs(series, config, opts, cache)
+    nonconverged = sum(bad for *_, bad in _cost_rows(series, config, opts, cache))
 
     if T < 2 * opts.min_segment:
         return _report(series, config, opts, (), cache, nonconverged, t0)

@@ -221,7 +221,7 @@ def _l1_project_inplace(rows: np.ndarray) -> None:
     level where the shrunk norm hits 1, found from the sorted magnitudes.  All
     violating rows share one sort and one cumulative sum.
     """
-    out = np.flatnonzero(np.abs(rows).sum(axis=1) > 1.0)
+    out = (np.abs(rows).sum(axis=1) > 1.0).nonzero()[0]
     if out.size == 0:
         return
     x = rows[out]
@@ -298,7 +298,7 @@ def _take_first(state, r, cand, norm, accept, g, xp, v, thr):
             np.subtract(ezc.reshape(terms.shape), terms, out=terms)
             fc = np.einsum("ij->i", z).reshape(rs.size, K)
             ok = accept(sl, fc)
-        hit = np.flatnonzero(ok.any(axis=1))
+        hit = ok.any(axis=1).nonzero()[0]
         if hit.size:
             k = ok[hit].argmax(axis=1)
             j = hit * K + k  # the accepted candidates within the chunk
@@ -336,7 +336,7 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     inside = np.abs(a_rows).sum(axis=1) < _SPHERE
     support = a_rows != 0.0
     work = (support | (np.abs(grad) > thr)) & inside[:, None]
-    cols = np.flatnonzero(work.any(axis=0))
+    cols = work.any(axis=0).nonzero()[0]
     if cols.size == 0:
         return took
     w = work[:, cols]
@@ -365,7 +365,7 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     may_fix = w
     for _ in range(_SIGN_ROUNDS):
         cross = may_fix & ((a_w + d) * sigma < 0.0)
-        redo = np.flatnonzero(cross.any(axis=1))
+        redo = cross.any(axis=1).nonzero()[0]
         if redo.size == 0:
             break
         reach = np.full(cross.shape, np.inf)  # the alpha at which each reaches 0
@@ -381,7 +381,7 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
         d[redo] = np.linalg.solve(Hr, rhs[..., None])[..., 0] + dz
     slope = np.einsum("ij,ij->i", b, d)  # first-order decrease of a full step
     need = tol * np.maximum(1.0, np.abs(obj_rows[rows]))
-    pend = np.flatnonzero(slope > need)
+    pend = (slope > need).nonzero()[0]
     for lo, hi in _rung_batches():
         if pend.size == 0:
             break
@@ -510,7 +510,9 @@ def _fit_kernel(
                 finished = rows[done]
                 iters[finished] = it
                 converged[finished] = True
-                active = active[~np.isin(active, finished)]
+                stop = rest.copy()  # the finished rows, as positions in active
+                stop[rest] = done
+                active = active[~stop]
         if history is not None:
             history.append(float(obj_rows.sum()))
         if active.size == 0:

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +308,35 @@ def exact_rule_costs(series, config, opts):
     return out
 
 
+def min_bound_settled(series, config, opts):
+    """How many admissible blocks the bound settles, by the min(row, col) rule.
+
+    For each start, the smaller of the row and column bounds, as cumulative
+    sums gathered at every end, is inflated by the slack 1 + 4 n eps of a
+    window of n columns and compared with lam * sqrt(n + 1).
+    """
+    g_all, xp_all = design_matrices(series, config)
+    abs_r = np.abs(math.exp(config.v) - xp_all)
+    row_terms = abs_r * g_all.max(axis=0)
+    col_terms = abs_r.max(axis=0) * g_all
+    eps = np.finfo(np.float64).eps
+    starts = list(range(1, series.T + 1, opts.grid))
+    ends = sorted({s - 1 for s in starts if s > 1} | {series.T})
+    settled = 0
+    for s in starts:
+        block_ends = np.array([e for e in ends if e - s + 1 >= opts.min_segment], dtype=np.int64)
+        if not len(block_ends):
+            continue
+        lo = max(s - 1, 1)
+        n = block_ends - lo
+        bound = np.minimum(
+            np.cumsum(row_terms[:, lo - 1 :], axis=1)[:, n - 1].max(axis=0),
+            np.cumsum(col_terms[:, lo - 1 :], axis=1)[:, n - 1].max(axis=0),
+        )
+        settled += int(np.count_nonzero(bound * (1.0 + 4.0 * n * eps) <= opts.lam * np.sqrt(n + 1)))
+    return settled
+
+
 def zero_regime_series(T=12, m=3):
     """A series whose only regime is A = 0: independent Poisson(e^v) counts."""
     config = ModelConfig(v=0.3, clip=3.0)
@@ -418,6 +449,7 @@ class TestZeroScreen:
             k for k, v in want.items() if v[2] == 0
         }
         assert 0 < cache.bounded <= cache.screened
+        assert cache.bounded == min_bound_settled(series, config, opts)
         for key, (cost, converged, iterations) in want.items():
             assert got[key][1:] == (converged, iterations), key
             if grid == 1:
@@ -445,6 +477,30 @@ class TestZeroScreen:
             assert iterations == 0 and converged
             assert cost == pytest.approx(cold.cost, rel=1e-12)
 
+    def test_only_the_column_bound_settles(self):
+        # One window, [1, 3], of M = 2 units at v = 0: g(1) = e1, g(2) = e2,
+        # r(1) = 1 - X(2) = (1, 0) and r(2) = 1 - X(3) = (1, 1).  The row
+        # bound is max(1 + 1, 0 + 1) = 2, the column bound max(1, 1) = 1, and
+        # max |grad nll(0)| = 1.  At lam * sqrt(3) = 1.5 the row bound leaves
+        # the window open and the column bound settles it.
+        series = EventSeries(np.array([[1, 0, 0], [0, 1, 0]]))
+        config = ModelConfig(v=0.0, clip=5.0)
+        opts = DetectOptions(lam=1.5 / math.sqrt(3), gamma=1.0, min_segment=3)
+        assert min_bound_settled(series, config, opts) == 1
+        cache = CostCache()
+        detect(series, config, opts, cache)
+        assert (cache.screened, cache.bounded) == (1, 1)
+        cold = fit_interval(series, Interval(1, 3), opts.lam, config)
+        assert not cold.matrix.any()
+        cost, converged, iterations = cache.get((1, 3))
+        assert iterations == 0 and converged
+        assert cost == pytest.approx(cold.cost, rel=1e-12)
+        # at a threshold below the column bound neither bound settles it
+        low = DetectOptions(lam=0.9 / math.sqrt(3), gamma=1.0, min_segment=3)
+        cache = CostCache()
+        detect(series, config, low, cache)
+        assert cache.bounded == min_bound_settled(series, config, low) == 0
+
     def test_boundary_gradient_is_screened(self):
         # Window [1, 4] of this series has grad nll(0) = sum (1 - X(t+1)) X(t)
         # = -2 + 3 + 0 = 1 at v = 0, and lam * sqrt(4) = 1 at lam = 0.5: the
@@ -459,6 +515,64 @@ class TestZeroScreen:
         cost, converged, iterations = cache.get((1, 4))
         assert iterations == 0 and converged
         assert cost == pytest.approx(cold.cost, rel=1e-12)
+
+
+class TestCostPaths:
+    """detect streams its cost rows without a cache and stores them with one."""
+
+    @staticmethod
+    def case(name):
+        if name == "mixed":
+            series, config = mixed_series()
+            return series, config, DetectOptions(lam=median_screen_lam(series, config), gamma=1.0)
+        series, config = default_series()
+        lam, gamma = default_tuning(series.T, series.M)
+        if name == "lam400":
+            return series, config, DetectOptions(lam=400.0, gamma=gamma, grid=30)
+        return series, config, DetectOptions(lam=lam, gamma=gamma, grid=int(name[-1]))
+
+    @pytest.mark.parametrize("name", ["default_grid1", "default_grid7", "mixed", "lam400"])
+    def test_without_cache_equals_fresh_cache(self, name):
+        series, config, opts = self.case(name)
+        streamed = detect(series, config, opts)
+        cached = detect(series, config, opts, CostCache())
+        assert streamed.change_points.points == cached.change_points.points
+        assert streamed.total_objective.hex() == cached.total_objective.hex()
+        assert streamed.cache_stats == cached.cache_stats
+        assert streamed.nonconverged_fits == cached.nonconverged_fits
+
+    def test_filled_cache_runs_no_solver(self, monkeypatch):
+        series, config = mixed_series()
+        opts = DetectOptions(lam=median_screen_lam(series, config), gamma=1.0)
+        cache = CostCache()
+        first = detect(series, config, opts, cache)
+        assert cache.screened < cache.stats()["entries"]  # the solver ran
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the solver ran on a filled cache")
+
+        monkeypatch.setattr(importlib.import_module("seppchange.detect"), "_fit_kernel", no_solver)
+        misses = cache.misses
+        again = detect(series, config, opts, cache)
+        assert again.change_points.points == first.change_points.points
+        assert again.total_objective.hex() == first.total_objective.hex()
+        assert cache.misses == misses
+
+    def test_streamed_detect_keeps_no_cost_table(self):
+        # The benchmark series at the default tuning has 44,850 blocks: a
+        # table of their costs alone takes 0.34 MiB, and a detect that keeps
+        # them in a CostCache peaks at 1.4 MiB.  Streamed, it peaks at 0.6.
+        series, config = default_series()
+        lam, gamma = default_tuning(series.T, series.M)
+        opts = DetectOptions(lam=lam, gamma=gamma)
+        detect(series, config, opts)
+        tracemalloc.start()
+        try:
+            detect(series, config, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestGrid:
