@@ -472,14 +472,15 @@ def _zero_gradient(
         ends = stops[lo : lo + per]
         begins = np.concatenate(([begin], ends[:-1]))
         sums = np.empty((len(ends), M, M))
-        np.einsum("ik,jk->kij", resid[:, begins], g_all[:, begins], out=sums)  # no buffers
+        # einsum, unlike a broadcast multiply, makes the products in place
+        np.einsum("ik,jk->kij", resid[:, begins], g_all[:, begins], out=sums)
         for i in (ends - begins > 1).nonzero()[0].tolist():
             a, b = begins[i], ends[i]
             sums[i] = resid[:, a:b] @ g_all[:, a:b].T
         for step in sums:
             np.add(grad0, step, out=step)
             grad0 = step
-        grad0 = grad0.copy()
+        grad0 = grad0.copy()  # the batch's last sum, before abs overwrites it
         np.abs(sums, out=sums)
         passed[lo : lo + per] = sums.reshape(len(ends), -1).max(axis=1) <= limits[lo : lo + per]
         begin = ends[-1]
@@ -545,10 +546,8 @@ def detect(
         cache = CostCache()  # counts only
     cache.bind(_context("block", series, config, opts.lam, opts.solver))
     rows = _cost_rows(series, config, opts, cache, keep)
-    nonconverged = 0
     if T < 2 * opts.min_segment:
-        for *_, bad in rows:
-            nonconverged += bad
+        nonconverged = sum(bad for *_, bad in rows)
         return _report(series, config, opts, (), cache, nonconverged, t0)
 
     gamma = opts.gamma
@@ -559,6 +558,7 @@ def detect(
     last = np.zeros(T + 1, dtype=np.int64)
     reached = np.zeros(T + 1, dtype=bool)
     value[0], reached[0] = 0.0, True
+    nonconverged = 0
     for s, block_ends, costs, bad in rows:
         nonconverged += bad
         if not reached[s - 1]:
