@@ -368,7 +368,7 @@ def _cost_rows(
     row_terms = abs_r * g_all.max(axis=0)  # |r_m(t)| max_j g_j(t)
     col_terms = abs_r.max(axis=0) * g_all  # max_m |r_m(t)| g_j(t)
     del abs_r
-    T, M = series.T, series.M
+    T = series.T
     # by window size n (columns): the bound's slack and the threshold
     sizes = np.arange(T + 1)
     slack = 1.0 + 4.0 * sizes * _EPS
@@ -412,8 +412,8 @@ def _cost_rows(
             span = c0 + n[left[-1]]
             col = np.cumsum(col_terms[:, c0:span], axis=1).max(axis=0)[n[left] - 1]
             bounded[left] = col * slack_n[left] <= limit_n[left]
+            left = left[~bounded[left]]
         zero = bounded.copy()
-        left = (~bounded).nonzero()[0]
         if len(left):
             zero[left] = _zero_gradient(resid, g_all, c0, block_ends[left] - 1, limit_n[left])
         cost0 = chunks[first:].copy()
