@@ -520,20 +520,17 @@ class TestZeroScreen:
 class TestCostPaths:
     """detect streams its cost rows without a cache and stores them with one."""
 
-    @staticmethod
-    def case(name):
-        if name == "mixed":
+    @pytest.mark.parametrize(
+        "case, grid", [("default", 1), ("default", 7), ("mixed", 1), ("lam400", 30)]
+    )
+    def test_without_cache_equals_fresh_cache(self, case, grid):
+        if case == "mixed":
             series, config = mixed_series()
-            return series, config, DetectOptions(lam=median_screen_lam(series, config), gamma=1.0)
-        series, config = default_series()
-        lam, gamma = default_tuning(series.T, series.M)
-        if name == "lam400":
-            return series, config, DetectOptions(lam=400.0, gamma=gamma, grid=30)
-        return series, config, DetectOptions(lam=lam, gamma=gamma, grid=int(name[-1]))
-
-    @pytest.mark.parametrize("name", ["default_grid1", "default_grid7", "mixed", "lam400"])
-    def test_without_cache_equals_fresh_cache(self, name):
-        series, config, opts = self.case(name)
+            opts = DetectOptions(lam=median_screen_lam(series, config), gamma=1.0, grid=grid)
+        else:
+            series, config = default_series()
+            lam, gamma = default_tuning(series.T, series.M)
+            opts = DetectOptions(lam=400.0 if case == "lam400" else lam, gamma=gamma, grid=grid)
         streamed = detect(series, config, opts)
         cached = detect(series, config, opts, CostCache())
         assert streamed.change_points.points == cached.change_points.points
