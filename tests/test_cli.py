@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -338,19 +339,91 @@ def test_console_script_version():
     assert proc.stdout.strip() == "0.1.0"
 
 
-def test_import_leaves_the_process_pool_out():
-    # replicate imports the pool only when it starts workers
+def _src_env():
     src = os.path.dirname(os.path.dirname(seppchange.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, seppchange.cli; print('concurrent.futures.process' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+LAZY_SCRIPT = """
+import sys
+from seppchange import cli
+if len(sys.argv) > 2:
+    assert cli.main(["detect", sys.argv[2], "--v", "0.3", "--clip", "4", "-o", sys.argv[3]]) == 0
+print(sys.argv[1] in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "numpy.random"])
+def test_import_leaves_the_process_pool_out(module, counts_csv, tmp_path):
+    # replicate imports the pool and numpy.random only when it starts workers;
+    # neither the import nor a default-tuning detect pulls either in
+    for extra in ([], [str(counts_csv), str(tmp_path / "report.json")]):
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_SCRIPT, module, *extra],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestRunExit:
+    """`run()`, the command's entry point: main(), gc.freeze(), sys.exit."""
+
+    def test_subprocess_detect_matches_in_process(self, counts_csv, tmp_path):
+        flags = ["--v", "0.3", "--clip", "4", "--lambda", "1.5", "--gamma", "0.5"]
+        sub_out, in_out = tmp_path / "sub.json", tmp_path / "in.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "seppchange.cli", "detect", str(counts_csv), *flags,
+             "-o", str(sub_out)],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("change points: ")
+        assert proc.stderr == ""
+        assert main(["detect", str(counts_csv), *flags, "-o", str(in_out)]) == EXIT_OK
+        docs = [load(sub_out), load(in_out)]
+        for doc in docs:
+            doc.pop("timing")
+            doc.pop("manifest")
+        assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["detect", "missing.csv", "--v", "0", "--clip", "1"], EXIT_DATA),
+         (["detect", "--bogus"], EXIT_USAGE)],
+        ids=["missing-input", "unknown-flag"],
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    def test_keeps_main_exit_codes(self, argv, code, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from seppchange.cli import run; "
+             "sys.argv[1:] = " + repr(argv) + "; run()"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            cwd=tmp_path,
+        )
+        assert proc.returncode == code, proc.stderr
+
+    def test_console_script_is_run(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        scripts = lines[lines.index("[project.scripts]") + 1:]
+        assert scripts[0] == 'seppchange = "seppchange.cli:run"'
+
+    def test_replicate_pool_leaves_nothing_frozen(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        code = main(
+            ["replicate", "--setting", "b", "--T", "12", "--reps", "2", "--seed", "3",
+             "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300", "--jobs", "2",
+             "-o", str(tmp_path / "reps")]
+        )
+        assert code == EXIT_OK
+        assert gc.get_freeze_count() == 0
 
 
 SILENT_SCRIPT = """
@@ -384,13 +457,11 @@ def test_library_calls_write_nothing(tmp_path):
     # calls a benchmark harness makes, and interpreter exit, print nothing.
     # Warnings are errors, so a RuntimeWarning (say, from a reduction over
     # NaN cells) fails the run instead of going to stderr.
-    src = os.path.dirname(os.path.dirname(seppchange.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", SILENT_SCRIPT, str(tmp_path / "counts.csv")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
