@@ -147,10 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.runs} alternating runs, {os.cpu_count()} CPUs, Python {sys.version.split()[0]}; "
           "medians [quartiles] in ms")
     print(f"{'step':<24} {'side':<7} {'wall':>24} {'child CPU':>24} {'peak RSS':>9}")
+    commands = set(workloads(work, work))
     for name, _ in plan:
         for side in sides:
             runs = samples[name, side]
-            rss = f"{statistics.median(r[2] for r in runs):6.1f} MiB" if name in workloads(work, work) else ""
+            rss = f"{statistics.median(r[2] for r in runs):6.1f} MiB" if name in commands else ""
             print(f"{name:<24} {side:<7} {fmt_ms([r[0] for r in runs]):>24} "
                   f"{fmt_ms([r[1] for r in runs]):>24} {rss:>9}")
     return 0

@@ -18,11 +18,11 @@ A command process ends through ``run()``: it calls ``main()``, moves every
 object then alive into the collector's permanent generation with
 ``gc.freeze()``, and exits with ``main()``'s code.  The collections that
 interpreter shutdown runs then skip the tens of thousands of objects that
-numpy and this package create at import, which saves 15-25 ms per process.
-Shutdown itself still runs: atexit handlers run, and stdout and stderr are
-flushed and closed, so nothing written late is lost (``os._exit`` would drop
-it).  ``main()`` never freezes, so a caller that runs it in process keeps a
-normal heap.
+numpy and this package create at import: about 15 ms per command on a 2-vCPU
+x86-64 host (``scripts/cli_overhead.py``).  Shutdown itself still runs:
+atexit handlers run, and stdout and stderr are flushed and closed, so nothing
+written late is lost (``os._exit`` would drop it).  ``main()`` never freezes,
+so a caller that runs it in process keeps a normal heap.
 """
 
 from __future__ import annotations
@@ -482,15 +482,14 @@ def cmd_replicate(args, argv: list[str]) -> int:
         # CLI start (measured with -X importtime on a 2-vCPU x86-64 host).
         from concurrent.futures import ProcessPoolExecutor
 
-        # Two steps before the workers fork (the pool's start method on
-        # Linux before Python 3.14).  numpy loads numpy.random on
-        # first use, which `generate_series` is; imported here, the forked
-        # workers inherit it instead of each importing it (about 13 ms) in
-        # its first replication.  gc.freeze() then moves the parent's heap
-        # into the permanent generation, so the workers' collections neither
-        # scan it nor write to its pages (the pre-fork idiom of the gc
-        # module's documentation).  Neither is at module scope: detect and
-        # --version use neither.
+        # Two steps before the workers fork (the pool's start method on Linux
+        # before Python 3.14).  numpy imports numpy.random on first use, which
+        # is a worker's first `generate_series`; imported here, the workers
+        # inherit it instead of each paying about 10 ms for it.  gc.freeze()
+        # then moves the parent's heap into the permanent generation, so the
+        # workers' collections neither scan it nor write to its pages (the
+        # pre-fork idiom of the gc module's documentation).  Neither step is
+        # at module scope: detect and --version use neither.
         import numpy.random  # noqa: F401
 
         gc.freeze()
