@@ -9,13 +9,16 @@ runs the CLI:
     cli import     python -c "import seppchange.cli"
     W              python -m seppchange.cli <the command of workload W>
     W, os._exit    the same command through main(), then os._exit
+    replicate-b, --jobs 1
+                   replicate-b's command on one process instead of two workers
 
 ``W`` ends the way the checkout's CLI ends; ``W, os._exit`` flushes stdout
 and stderr and leaves without any interpreter shutdown, so the difference
 of the two is what the checkout's exit costs.  The workloads are the three
 of ``perfbench/run.py``: a default-tuning detect and a lam-400, grid-30
 detect of its setting (a) series, and its 16-replication setting (b) batch
-on two workers.
+on two workers.  The same batch with ``--jobs 1`` shows what the two workers
+gain or lose against one process.
 
 Usage, from anywhere:
 
@@ -25,9 +28,11 @@ Without ``--parent`` only the change checkout is measured.  Runs alternate:
 within each run every step runs once on each side, and the side that goes
 first alternates from run to run.  The script prints, per step and side, the
 median and quartiles of the wall time and of the child's CPU time (user plus
-system, its reaped workers included), and for the CLI commands the peak RSS
-that wait4 reports.  This script imports nothing heavy itself, so that peak
-is the command's own.
+system, its reaped workers included), and for the CLI commands the medians of
+the peak RSS and of the involuntary context switches (``ru_nivcsw``) that
+wait4 reports.  The switch count also includes the reaped workers', so it
+shows workers that wait for a CPU another process holds.  This script imports
+nothing heavy itself, so that peak is the command's own.
 """
 
 from __future__ import annotations
@@ -54,14 +59,17 @@ EXIT_NOW = (
 )
 
 
+REPLICATE_B = ["replicate", "--setting", "b", "--T", "90", "--seed", "1", "--reps", "16"]
+JOBS_1 = "replicate-b, --jobs 1"
+
+
 def workloads(inputs: Path, out: Path) -> dict[str, list[str]]:
     detect = ["detect", str(inputs / "counts.csv"), "--truth", str(inputs / "truth.json"),
               "-o", str(out / "report.json")]
     return {
         "detect-default": detect,
         "detect-lam400": detect + ["--lambda", "400.0", "--grid", "30"],
-        "replicate-b": ["replicate", "--setting", "b", "--T", "90", "--seed", "1", "--reps", "16",
-                        "--jobs", "2", "-o", str(out / "batch")],
+        "replicate-b": REPLICATE_B + ["--jobs", "2", "-o", str(out / "batch")],
     }
 
 
@@ -75,6 +83,8 @@ def steps(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     for name, argv in workloads(inputs, out).items():
         found.append((name, py + ["-m", "seppchange.cli", *argv]))
         found.append((f"{name}, os._exit", py + ["-c", EXIT_NOW, *argv]))
+    found.append((JOBS_1, py + ["-m", "seppchange.cli", *REPLICATE_B, "--jobs", "1",
+                                "-o", str(out / "batch")]))
     return found
 
 
@@ -85,8 +95,9 @@ def env_for(checkout: Path) -> dict[str, str]:
     return env
 
 
-def measure(cmd: list[str], env: dict[str, str], cwd: Path) -> tuple[float, float, float]:
-    """Wall seconds, child CPU seconds and peak RSS (MiB) of one command."""
+def measure(cmd: list[str], env: dict[str, str], cwd: Path) -> tuple[float, float, float, int]:
+    """Wall seconds, child CPU seconds, peak RSS (MiB) and involuntary
+    context switches of one command."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -96,7 +107,7 @@ def measure(cmd: list[str], env: dict[str, str], cwd: Path) -> tuple[float, floa
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise SystemExit(f"{' '.join(cmd)} exited with {code}: {err.decode(errors='replace')}")
-    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, usage.ru_nivcsw
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -146,14 +157,17 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.runs} alternating runs, {os.cpu_count()} CPUs, Python {sys.version.split()[0]}; "
           "medians [quartiles] in ms")
-    print(f"{'step':<24} {'side':<7} {'wall':>24} {'child CPU':>24} {'peak RSS':>9}")
-    commands = set(workloads(work, work))
+    print(f"{'step':<24} {'side':<7} {'wall':>24} {'child CPU':>24} {'peak RSS':>10} {'invol. cs':>9}")
+    commands = {*workloads(work, work), JOBS_1}
     for name, _ in plan:
         for side in sides:
             runs = samples[name, side]
-            rss = f"{statistics.median(r[2] for r in runs):6.1f} MiB" if name in commands else ""
+            rss = nivcsw = ""
+            if name in commands:
+                rss = f"{statistics.median(r[2] for r in runs):6.1f} MiB"
+                nivcsw = f"{statistics.median(r[3] for r in runs):g}"
             print(f"{name:<24} {side:<7} {fmt_ms([r[0] for r in runs]):>24} "
-                  f"{fmt_ms([r[1] for r in runs]):>24} {rss:>9}")
+                  f"{fmt_ms([r[1] for r in runs]):>24} {rss:>10} {nivcsw:>9}")
     return 0
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from seppchange.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
+    _replicate_pool,
+    _spread_worker,
     main,
     read_counts_csv,
     read_event_csv,
@@ -328,6 +331,65 @@ class TestReplicateCommand:
             outs[jobs] = _strip_wall_column((out / "replications.csv").read_text())
         assert outs[1] == outs[2]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
+        out = tmp_path / "reps"
+        code = main(["replicate", "--setting", "b", "--T", "12", "--reps", "2",
+                     "--jobs", jobs, "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_rep_runs_in_process(self, tmp_path, monkeypatch):
+        # min(jobs, reps) workers: one task starts no pool
+        def no_pool(workers):
+            raise AssertionError(f"started a pool of {workers} for one replication")
+
+        monkeypatch.setattr("seppchange.cli._replicate_pool", no_pool)
+        out = tmp_path / "reps"
+        code = main(["replicate", "--setting", "b", "--T", "12", "--reps", "1", "--seed", "5",
+                     "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300",
+                     "--jobs", "2", "-o", str(out)])
+        assert code == EXIT_OK
+        assert len((out / "replications.csv").read_text().splitlines()) == 2
+
+    def test_zero_reps_writes_headers_only(self, tmp_path):
+        out = tmp_path / "reps"
+        code = main(["replicate", "--setting", "b", "--T", "12", "--reps", "0",
+                     "--jobs", "2", "-o", str(out)])
+        assert code == EXIT_OK
+        for name in ("replications.csv", "summary.csv"):
+            assert len((out / name).read_text().splitlines()) == 1
+
+
+def test_spread_worker_cycles_through_the_cpus(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)),
+                        raising=False)
+    counter = multiprocessing.Value("i", 0)
+    for _ in range(3):
+        _spread_worker(counter, [3, 5])
+    assert calls == [(0, {3}), (0, {3, 5}), (0, {5}), (0, {3, 5}), (0, {3}), (0, {3, 5})]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+class TestSpreadPool:
+    def test_replicate_keeps_the_parent_mask(self, tmp_path):
+        before = os.sched_getaffinity(0)
+        code = main(
+            ["replicate", "--setting", "b", "--T", "12", "--reps", "3", "--seed", "5",
+             "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300", "--jobs", "2",
+             "-o", str(tmp_path / "reps")]
+        )
+        assert code == EXIT_OK
+        assert os.sched_getaffinity(0) == before
+
+    def test_workers_get_the_full_mask_back(self):
+        # the spread moves each worker once at start; no pin outlives it
+        with _replicate_pool(2) as pool:
+            masks = [pool.submit(os.sched_getaffinity, 0).result(timeout=60) for _ in range(4)]
+        assert masks == [os.sched_getaffinity(0)] * 4
+
 
 def test_console_script_version():
     proc = subprocess.run(
@@ -353,10 +415,10 @@ print(sys.argv[1] in sys.modules)
 """
 
 
-@pytest.mark.parametrize("module", ["concurrent.futures.process", "numpy.random"])
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "multiprocessing", "numpy.random"])
 def test_import_leaves_the_process_pool_out(module, counts_csv, tmp_path):
-    # replicate imports the pool and numpy.random only when it starts workers;
-    # neither the import nor a default-tuning detect pulls either in
+    # replicate imports the pool, multiprocessing and numpy.random only when it
+    # starts workers; neither the import nor a default-tuning detect pulls any in
     for extra in ([], [str(counts_csv), str(tmp_path / "report.json")]):
         proc = subprocess.run(
             [sys.executable, "-c", LAZY_SCRIPT, module, *extra],
