@@ -30,9 +30,9 @@ first alternates from run to run.  The script prints, per step and side, the
 median and quartiles of the wall time and of the child's CPU time (user plus
 system, its reaped workers included), and for the CLI commands the medians of
 the peak RSS and of the involuntary context switches (``ru_nivcsw``) that
-wait4 reports.  The switch count also includes the reaped workers', so it
-shows workers that wait for a CPU another process holds.  This script imports
-nothing heavy itself, so that peak is the command's own.
+wait4 reports.  The switch count sums the command's process and the workers
+it reaped, so it cannot tell which of them waited for a CPU.  This script
+imports nothing heavy itself, so that peak is the command's own.
 """
 
 from __future__ import annotations
