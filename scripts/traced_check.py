@@ -6,8 +6,11 @@ For every workload of the checkout's ``BENCHMARK.json`` the script runs
 
 from the root of the checkout, at the benchmark's default run length.  A run
 passes when it exits 0, prints exactly one line to stdout, and that line
-parses as strict JSON (NaN and Infinity are rejected) with ``correct`` true
-and ``failed`` 0, and when it writes nothing to stderr.  The one-second runs
+parses as strict JSON (NaN and Infinity are rejected) with ``correct`` true,
+``failed`` 0 and every ``per_layer`` metric that ``BENCHMARK.json`` declares,
+and when it writes nothing to stderr.  The harness leaves out a metric whose
+probe finds no counter or argument to read, so a program change that drops
+one shows only here.  The one-second runs
 of ``tests/test_perfbench_smoke.py`` check the same line, but a full-length
 run executes many more rounds, so output that only some rounds produce shows
 here and not there.
@@ -34,8 +37,11 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite constant {name}")
 
 
-def problems(code: int, stdout: str, stderr: str) -> list[str]:
-    """Every way one traced run's output falls short of a result line."""
+def problems(code: int, stdout: str, stderr: str, declared: list[str] = ()) -> list[str]:
+    """Every way one traced run's output falls short of a result line.
+
+    ``declared`` names the metrics the result line must carry.
+    """
     found = []
     if code != 0:
         found.append(f"exit code {code}")
@@ -55,6 +61,9 @@ def problems(code: int, stdout: str, stderr: str) -> list[str]:
                     found.append(f"correct is {result.get('correct')!r}")
                 if result.get("failed") != 0:
                     found.append(f"failed is {result.get('failed')!r}")
+                missing = [name for name in declared if name not in (result.get("metrics") or {})]
+                if missing:
+                    found.append(f"missing declared metrics: {', '.join(missing)}")
     if stderr:
         found.append(f"{len(stderr.splitlines())} stderr lines")
     return found
@@ -68,7 +77,9 @@ def main(argv: list[str] | None = None) -> int:
     root = args.checkout.resolve()
     if not (root / "perfbench" / "run.py").is_file():
         parser.error(f"{root} has no perfbench/run.py")
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    declared = [m["name"] for m in bench["per_layer"]]
 
     failed = 0
     for workload in workloads:
@@ -77,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
         elapsed = time.perf_counter() - t0
-        found = problems(proc.returncode, proc.stdout, proc.stderr)
+        found = problems(proc.returncode, proc.stdout, proc.stderr, declared)
         print(f"{workload}: {'FAIL' if found else 'ok'} ({elapsed:.0f} s, seed {args.seed})", flush=True)
         if found:
             failed += 1

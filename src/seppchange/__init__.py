@@ -23,11 +23,8 @@ from .detect import (
     CostCache,
     DetectionReport,
     DetectOptions,
-    count_partitions,
     default_tuning,
     detect,
-    exhaustive_search,
-    interval_cost,
 )
 from .glm import (
     SegmentFit,
@@ -67,17 +64,14 @@ __all__ = [
     "aggregate",
     "build_scenario",
     "change_points_of",
-    "count_partitions",
     "default_tuning",
     "design_function",
     "detect",
     "evaluate",
-    "exhaustive_search",
     "fit_interval",
     "generate_series",
     "hausdorff",
     "induced_partition",
-    "interval_cost",
     "k_error",
     "mean_se",
     "min_spacing_and_jump",

@@ -317,19 +317,19 @@ def cmd_simulate(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _detect_options(args, T: int, M: int) -> DetectOptions:
-    lam, gamma = args.lam, args.gamma
+def _detect_options(fields, T: int, M: int) -> DetectOptions:
+    """Detect options from a mapping of the tuning flags; None takes the default tuning."""
+    lam, gamma = fields["lam"], fields["gamma"]
     if lam is None or gamma is None:
-        d_lam, d_gamma = default_tuning(T, M, base=args.log_base)
+        d_lam, d_gamma = default_tuning(T, M, base=fields["log_base"])
         lam = d_lam if lam is None else lam
         gamma = d_gamma if gamma is None else gamma
-    solver = SolverOptions(tol=args.tol, max_iter=args.max_iter)
     return DetectOptions(
         lam=lam,
         gamma=gamma,
-        min_segment=args.min_segment,
-        grid=args.grid,
-        solver=solver,
+        min_segment=fields["min_segment"],
+        grid=fields["grid"],
+        solver=SolverOptions(tol=fields["tol"], max_iter=fields["max_iter"]),
     )
 
 
@@ -361,7 +361,7 @@ def cmd_detect(args, argv: list[str]) -> int:
     if clip is None:
         raise ValueError("clip not given and no truth.json sidecar found")
     config = ModelConfig(v=v, clip=clip)
-    opts = _detect_options(args, series.T, series.M)
+    opts = _detect_options(vars(args), series.T, series.M)
     report = detect(series, config, opts)
     out = args.output or os.path.join(os.environ.get(OUTDIR_ENV, "."), "report.json")
     _dump_json(
@@ -436,18 +436,7 @@ def _run_replication(payload: dict) -> dict:
     )
     seq, config, T = build_scenario(spec)
     series = generate_series(seq, config, T, seed=payload["seed"], replication=payload["rep"])
-    lam, gamma = payload["lam"], payload["gamma"]
-    if lam is None or gamma is None:
-        d_lam, d_gamma = default_tuning(T, series.M, base=payload["log_base"])
-        lam = d_lam if lam is None else lam
-        gamma = d_gamma if gamma is None else gamma
-    opts = DetectOptions(
-        lam=lam,
-        gamma=gamma,
-        min_segment=payload["min_segment"],
-        grid=payload["grid"],
-        solver=SolverOptions(tol=payload["tol"], max_iter=payload["max_iter"]),
-    )
+    opts = _detect_options(payload, T, series.M)
     t0 = time.perf_counter()
     report = detect(series, config, opts)
     result = evaluate(report.change_points.points, seq.change_points, T)

@@ -16,29 +16,30 @@ block counts.  The Bellman recursion
     cost([s, e]) = H(Ahat(W), W),   W = [max(s-1, 1), e],
 
 is exact; ties are resolved toward fewer blocks and then the lexicographically
-smallest change-point vector.  Block costs come as one row per start, an
-array over the start's ends, and consecutive fits along a start's sweep share
-warm starts, which is what makes the O(T^2) scan affordable.  Each row goes
-into the recursion as soon as its start is swept: the recursion runs
-push-style over starts, and B[s-1] is final when start s comes up, because
-every block that ends at s-1 starts before s, so start s relaxes the best
-value seen so far for all of its ends with one vector operation on its row.
-So ``detect`` keeps no cost table: without a cache it holds the O(T) state
-of the recursion and the current row, and only a ``CostCache`` passed in
-keeps the rows.  The float operations are those of the textbook pull-style
-min, in the same order.  An exact tie on value goes to fewer blocks,
-compared as a vector, and a tie on blocks too to the smaller change points,
-found in Python by walking both partitions back along their last-block
-starts until they meet.
+smallest change-point vector.
+
+The module has one producer of block costs and one consumer.  ``_cost_rows``
+sweeps the starts in increasing order and yields one row per start, an array
+of costs over the start's ends; consecutive fits along a start's sweep share
+warm starts, which is what makes the O(T^2) scan affordable.  ``_bellman``
+runs the recursion push-style over those rows: B[s-1] is final when start s
+comes up, because every block that ends at s-1 starts before s, so start s
+relaxes the best value seen so far for all of its ends with one vector
+operation on its row.  ``detect`` joins the two; without a ``CostCache`` it
+keeps no cost table, only the O(T) state of the recursion and the current
+row.  The float
+operations are those of the textbook pull-style min, in the same order.  An
+exact tie on value goes to fewer blocks, compared as a vector, and a tie on
+blocks too to the smaller change points, found in Python by walking both
+partitions back along their last-block starts until they meet.
 
 Values are floats folded block by block, and that fold is not associative:
 a prefix that loses by a rounding residue can round level with the winner
 once a later block is added.  The recursion has then dropped it, so where
 partitions tie in real arithmetic (gamma = 0 with every fit zero, say) the
 returned partition is a minimizer of the float objective but not always the
-one with the fewest blocks.  ``exhaustive_search`` enumerates every
-admissible partition through the same cost cache, compares whole float
-objectives, and exists to validate ``detect``.
+one with the fewest blocks.  The test suite's exhaustive enumeration, which
+compares whole float objectives over the same rows, shows where.
 
 Most windows need no solver at all.  Zero lies strictly inside the row-norm
 ball, so by the KKT condition at A = 0 row m of the fit on window W is exactly
@@ -85,9 +86,6 @@ import numpy as np
 
 from .core import ChangePointSet, EventSeries, Interval, ModelConfig, induced_partition
 from .glm import SegmentFit, SolverOptions, _fit_kernel, design_matrices, fit_interval
-
-ENUMERATION_GUARD = 2**20
-
 
 @dataclass(frozen=True)
 class DetectOptions:
@@ -138,37 +136,30 @@ class DetectionReport:
 
 
 class CostCache:
-    """Memo of costs keyed by (start, end), stored in per-start rows.
-
-    A cache instance is bound to one (series, lam, config, solver) context and
-    to one key meaning: regime blocks for detect() and exhaustive_search(),
-    fitted intervals for interval_cost().  It refuses reuse under a different
-    context, so detect() and exhaustive_search() can safely share one instance.
+    """The cost rows of one sweep, kept for later detects, and the sweep's counts.
 
     ``detect`` needs no cache: without one it streams each start's cost row
-    into the recursion and keeps none of them.  A cache passed in is both a
-    source and a sink.  Each start that is swept or ``put`` owns one row: a
-    cost array (NaN where no cost is stored), a converged array and an
-    iterations array, all indexed by end - start.  A row is allocated on its
-    start's first sweep or ``put`` and grown when a ``put`` reaches past it, so
-    memory is O(swept starts x T).  A start whose row holds all of its blocks
-    is read instead of swept; a start with blocks missing is swept, only the
-    missing blocks are written, and the recursion reads the row as the cache
-    then holds it.  Entries are (cost, converged, iterations) and are never
-    evicted.  ``hits`` and ``misses`` count block lookups, one per block,
-    whether looked up alone or as part of a row.  ``screened`` counts the
-    block costs the sweep took from the zero test instead of a fit, and
-    ``bounded`` those among them that the bound settled without the exact
-    test; each screened cost is also counted as a miss.  A detect without a
-    cache reports the same counts as one with a fresh cache.
+    into the recursion and keeps none of them.  The first detect given a
+    cache binds it to its context (series content, lam, config, solver,
+    grid and min_segment, which together fix every row) and stores all the
+    rows of its sweep in ``rows``; a later detect in the same context,
+    at any gamma, replays them and runs no fit.  A cache refuses any other
+    context, so it never serves another series' costs.
+
+    ``misses`` and ``entries`` count the block costs swept, ``screened`` those
+    that the zero test settled instead of a fit, and ``bounded`` those among
+    them that the bound settled without the exact test.  ``hits`` counts the
+    block costs that the recursion read, and is the only count a replay
+    adds to.  A detect without a cache reports the same counts as one with
+    a fresh cache.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._entries = 0
+        self.rows: list[tuple] | None = None
         self._context: tuple | None = None
         self.hits = 0
         self.misses = 0
+        self.entries = 0
         self.screened = 0
         self.bounded = 0
 
@@ -178,67 +169,11 @@ class CostCache:
         elif self._context != context:
             raise ValueError("cost cache reused under a different context")
 
-    def _row(self, s: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The row of start s, allocated or grown to hold at least ``size`` ends."""
-        row = self._rows.get(s)
-        if row is None or len(row[0]) < size:
-            grown = (
-                np.full(size, np.nan),
-                np.zeros(size, dtype=bool),
-                np.zeros(size, dtype=np.int64),
-            )
-            if row is not None:
-                for new, old in zip(grown, row):
-                    new[: len(old)] = old
-            row = self._rows[s] = grown
-        return row
-
-    def _lookup(self, key: tuple[int, int]) -> tuple[float, bool, int] | None:
-        s, e = key
-        row = self._rows.get(s)
-        d = e - s
-        if row is None or not 0 <= d < len(row[0]) or math.isnan(row[0][d]):
-            return None
-        return float(row[0][d]), bool(row[1][d]), int(row[2][d])
-
-    def get(self, key: tuple[int, int]):
-        entry = self._lookup(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def put(self, key: tuple[int, int], entry: tuple[float, bool, int]) -> None:
-        s, e = key
-        cost, converged, iterations = entry
-        if e < s:
-            raise ValueError(f"block {key} ends before it starts")
-        if math.isnan(cost):
-            raise ValueError(f"block {key}: a NaN cost cannot be stored")
-        costs, flags, iters = self._row(s, e - s + 1)
-        self._entries += math.isnan(costs[e - s])
-        costs[e - s], flags[e - s], iters[e - s] = cost, converged, iterations
-
-    def cost(self, key: tuple[int, int]) -> float:
-        """The cost of a stored block; raises KeyError for a block never swept."""
-        self.hits += 1
-        entry = self._lookup(key)
-        if entry is None:
-            raise KeyError(key)
-        return entry[0]
-
-    def items(self):
-        """Yield ((start, end), (cost, converged, iterations)) for every stored block."""
-        for s, (costs, flags, iters) in self._rows.items():
-            for d in (~np.isnan(costs)).nonzero()[0].tolist():
-                yield (s, s + d), (float(costs[d]), bool(flags[d]), int(iters[d]))
-
     def stats(self) -> dict:
         return {
             "hits": int(self.hits),
             "misses": int(self.misses),
-            "entries": int(self._entries),
+            "entries": int(self.entries),
             "screened": int(self.screened),
             "bounded": int(self.bounded),
         }
@@ -264,52 +199,22 @@ def default_tuning(T: int, M: int, base: float = math.e) -> tuple[float, float]:
     return lam, gamma
 
 
-def _context(
-    keys: str,
-    series: EventSeries,
-    config: ModelConfig,
-    lam: float,
-    solver: SolverOptions,
-) -> tuple:
+def _context(series: EventSeries, config: ModelConfig, opts: DetectOptions) -> tuple:
     # The series is keyed on its content: an id() is reused once the array is
     # garbage-collected, and would let a cache serve another series' costs.
     counts = series.counts
     return (
-        keys,
         counts.shape,
         counts.dtype.str,
         counts.tobytes(),
-        lam,
+        opts.lam,
         config.v,
         config.clip,
-        solver.tol,
-        solver.max_iter,
+        opts.solver.tol,
+        opts.solver.max_iter,
+        opts.grid,
+        opts.min_segment,
     )
-
-
-def interval_cost(
-    series: EventSeries,
-    interval: Interval,
-    lam: float,
-    config: ModelConfig,
-    opts: SolverOptions = SolverOptions(),
-    cache: CostCache | None = None,
-) -> float:
-    """Memoized penalized cost of the fit on one interval.
-
-    This is the fit over every transition inside ``interval``; the partition
-    objective charges a regime block [s, e] with the fit on [max(s-1, 1), e].
-    """
-    key = (interval.start, interval.end)
-    if cache is not None:
-        cache.bind(_context("interval", series, config, lam, opts))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[0]
-    fit = fit_interval(series, interval, lam, config, opts)
-    if cache is not None:
-        cache.put(key, (fit.cost, bool(fit.converged.all()), int(fit.iterations.max())))
-    return fit.cost
 
 
 def _grid_points(T: int, opts: DetectOptions) -> tuple[list[int], list[int]]:
@@ -332,14 +237,14 @@ def _cost_rows(
     series: EventSeries,
     config: ModelConfig,
     opts: DetectOptions,
-    cache: CostCache,
-    keep: bool = True,
+    counts: CostCache,
 ):
-    """Yield (s, block_ends, costs, nonconverged) for each start, s ascending.
+    """Yield (s, block_ends, costs, converged, iterations) for each start, s ascending.
 
-    ``costs[k]`` is the cost of block (s, block_ends[k]) and ``nonconverged``
-    the number of those costs, among the ones computed here, whose fit did
-    not converge.  Each start is swept on its own, its ends in increasing
+    ``costs[k]`` is the cost of block (s, block_ends[k]), ``converged[k]``
+    whether its fit converged and ``iterations[k]`` the fit's kernel
+    iterations, 0 for a screened window.  The sweep's counts go to
+    ``counts``.  Each start is swept on its own, its ends in increasing
     order, through the three levels of the module docstring:
 
     * For all ends at once: the row bound, a cumulative sum over the start's
@@ -353,12 +258,6 @@ def _cost_rows(
     * For each window the exact test leaves open: the solver, warm-started
       from the fit of the start's previous window if the solver ran there,
       else from zero.
-
-    With ``keep`` the cache is both source and sink: a start whose blocks
-    are all stored is read, not swept; otherwise its blocks are swept, only
-    the missing ones are written into the start's row, and the row is
-    yielded as the cache then holds it.  Without ``keep`` nothing is stored
-    and every start is swept; the cache only counts, as if it stored.
     """
     g_all, xp_all = design_matrices(series, config)
     ev = math.exp(config.v)
@@ -387,20 +286,8 @@ def _cost_rows(
         if first == len(ends):
             return
         block_ends = all_ends[first:]
-        cells = block_ends - s
-        if keep:
-            row_costs, row_flags, row_iters = cache._row(s, T - s + 1)
-            new = np.isnan(row_costs[cells])
-            fresh = int(np.count_nonzero(new))
-            cache.hits += len(cells) - fresh
-            if not fresh:
-                yield s, block_ends, row_costs[cells], 0
-                continue
-        else:
-            new = np.ones(len(cells), dtype=bool)
-            fresh = len(cells)
-        cache.misses += fresh
-        cache._entries += fresh
+        counts.misses += len(block_ends)
+        counts.entries += len(block_ends)
         lo = max(s - 1, 1)
         c0 = lo - 1  # window [lo, e] holds the columns [c0, e - 1)
         n = block_ends - lo  # columns per window
@@ -419,11 +306,10 @@ def _cost_rows(
         cost0 = chunks[first:].copy()
         cost0[0] = zero_cols[c0 : ends[first] - 1].sum()
         costs = np.cumsum(cost0)
-        flags = np.ones(len(cells), dtype=bool)
-        iters = np.zeros(len(cells), dtype=np.int64)
-        n_bounded = int(np.count_nonzero(bounded & new))
-        screened = int(np.count_nonzero(zero & new))
-        nonconverged = 0
+        flags = np.ones(len(block_ends), dtype=bool)
+        iters = np.zeros(len(block_ends), dtype=np.int64)
+        counts.bounded += int(np.count_nonzero(bounded))
+        counts.screened += int(np.count_nonzero(zero))
         warm, fitted = None, -1  # fitted: the last window the solver ran on
         for k in (~zero).nonzero()[0].tolist():
             e = ends[first + k]
@@ -437,15 +323,7 @@ def _cost_rows(
             costs[k] = float(f_rows.sum()) + thr * float(np.abs(A).sum())
             flags[k] = converged.all()
             iters[k] = its.max()
-            if new[k] and not flags[k]:
-                nonconverged += 1
-        cache.bounded += n_bounded
-        cache.screened += screened
-        if keep:
-            put = cells[new]
-            row_costs[put], row_flags[put], row_iters[put] = costs[new], flags[new], iters[new]
-            costs = row_costs[cells]
-        yield s, block_ends, costs, nonconverged
+        yield s, block_ends, costs, flags, iters
 
 
 def _zero_gradient(
@@ -505,7 +383,7 @@ def _report(
     config: ModelConfig,
     opts: DetectOptions,
     cps: tuple[int, ...],
-    cache: CostCache,
+    stats: dict,
     nonconverged: int,
     t0: float,
 ) -> DetectionReport:
@@ -520,7 +398,7 @@ def _report(
         segments=segments,
         total_objective=total,
         wall_time_s=time.perf_counter() - t0,
-        cache_stats=cache.stats(),
+        cache_stats=stats,
         options=opts,
         nonconverged_fits=nonconverged,
     )
@@ -537,20 +415,40 @@ def detect(
     Among minimizers the returned partition has the fewest blocks and then the
     lexicographically smallest change points, up to the rounding of near ties
     described in the module docstring.  Solver non-convergence inside
-    any interval fit is propagated as a count, never an abort.
+    any interval fit is propagated as a count, never an abort.  A ``cache``
+    keeps the rows of the first sweep and replays them on later calls (see
+    ``CostCache``).
     """
     t0 = time.perf_counter()
-    T = series.T
-    keep = cache is not None
     if cache is None:
         cache = CostCache()  # counts only
-    cache.bind(_context("block", series, config, opts.lam, opts.solver))
-    rows = _cost_rows(series, config, opts, cache, keep)
-    if T < 2 * opts.min_segment:
-        nonconverged = sum(bad for *_, bad in rows)
-        return _report(series, config, opts, (), cache, nonconverged, t0)
+        rows = _cost_rows(series, config, opts, cache)
+    else:
+        cache.bind(_context(series, config, opts))
+        if cache.rows is None:
+            cache.rows = list(_cost_rows(series, config, opts, cache))
+        rows = cache.rows
+    nonconverged = 0
 
+    def tally():
+        nonlocal nonconverged
+        for row in rows:
+            nonconverged += int(np.count_nonzero(~row[3]))
+            yield row
+
+    cps = _bellman(tally(), series.T, opts, cache)
+    return _report(series, config, opts, cps, cache.stats(), nonconverged, t0)
+
+
+def _bellman(rows, T: int, opts: DetectOptions, counts: CostCache) -> tuple[int, ...]:
+    """Change points of the best partition of [1, T] over the cost ``rows``.
+
+    ``rows`` yields (s, block_ends, costs, ...) with s ascending, as
+    ``_cost_rows`` does, and is always read to its end.  Each block cost
+    that the recursion reads is counted as a hit on ``counts``.
+    """
     gamma = opts.gamma
+    short = T < 2 * opts.min_segment  # no split fits: the one block [1, T]
     # For every end e, the best partition of [1, e] found so far: its
     # objective, its number of blocks and the start of its last block.
     value = np.full(T + 1, np.inf)
@@ -558,13 +456,11 @@ def detect(
     last = np.zeros(T + 1, dtype=np.int64)
     reached = np.zeros(T + 1, dtype=bool)
     value[0], reached[0] = 0.0, True
-    nonconverged = 0
-    for s, block_ends, costs, bad in rows:
-        nonconverged += bad
-        if not reached[s - 1]:
+    for s, block_ends, costs, *_ in rows:
+        if short or not reached[s - 1]:
             continue
         # B[s-1] is final: every block that ends at s-1 starts before s.
-        cache.hits += len(block_ends)
+        counts.hits += len(block_ends)
         cand = (value[s - 1] + costs) + gamma
         old, seen = value[block_ends], reached[block_ends]
         better = ~seen | (cand < old)
@@ -582,7 +478,7 @@ def detect(
         blocks[won] = blocks[s - 1] + 1
         last[won] = s
         reached[won] = True
-    return _report(series, config, opts, _change_points(last, T), cache, nonconverged, t0)
+    return () if short else _change_points(last, T)
 
 
 def _change_points(last: np.ndarray, e: int) -> tuple[int, ...]:
@@ -609,81 +505,3 @@ def _smaller_points(last: np.ndarray, s: int, t: int) -> bool:
         smaller = s < t
         s, t = int(last[s - 1]), int(last[t - 1])
     return smaller
-
-
-def count_partitions(T: int, opts: DetectOptions) -> int:
-    """Number of admissible partitions of [1, T] under min_segment and grid."""
-    starts, ends = _grid_points(T, opts)
-    n: dict[int, int] = {0: 1}
-    for e in ends:
-        total = 0
-        for s in starts:
-            if s > e - opts.min_segment + 1:
-                break
-            if s - 1 in n:
-                total += n[s - 1]
-        if total:
-            n[e] = total
-    return n.get(T, 0)
-
-
-def exhaustive_search(
-    series: EventSeries,
-    config: ModelConfig,
-    opts: DetectOptions,
-    cache: CostCache | None = None,
-) -> DetectionReport:
-    """Enumerate every admissible partition and return the objective minimizer.
-
-    Uses the same interval costs and the same accumulation order and
-    tie-breaking as detect(), applied to whole partitions; exists solely as a
-    validation oracle and refuses instances with more than 2**20 admissible
-    partitions.  Where a prefix lost by a rounding residue that a later block
-    absorbs, the two can return different float minimizers (see the module
-    docstring).
-    """
-    t0 = time.perf_counter()
-    T = series.T
-    n_parts = count_partitions(T, opts)
-    if n_parts > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{n_parts} admissible partitions exceed the enumeration guard "
-            f"({ENUMERATION_GUARD})"
-        )
-    if cache is None:
-        cache = CostCache()
-    cache.bind(_context("block", series, config, opts.lam, opts.solver))
-    nonconverged = sum(bad for *_, bad in _cost_rows(series, config, opts, cache))
-
-    if T < 2 * opts.min_segment:
-        return _report(series, config, opts, (), cache, nonconverged, t0)
-
-    starts, ends = _grid_points(T, opts)
-    start_set = set(starts)
-    best: tuple[float, int, tuple[int, ...]] | None = None
-
-    # Depth-first over block boundaries; the running value folds cost + gamma
-    # per block exactly like the Bellman recursion does.
-    stack = [(0, 0.0, 0, ())]
-    while stack:
-        covered, value, k, cps = stack.pop()
-        if covered == T:
-            cand = (value, k, cps)
-            if best is None or cand < best:
-                best = cand
-            continue
-        s = covered + 1
-        if s not in start_set:
-            continue
-        for e in ends:
-            if e - s + 1 < opts.min_segment:
-                continue
-            stack.append(
-                (
-                    e,
-                    value + cache.cost((s, e)) + opts.gamma,
-                    k + 1,
-                    cps + (s,) if s > 1 else cps,
-                )
-            )
-    return _report(series, config, opts, best[2], cache, nonconverged, t0)

@@ -1,11 +1,15 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the exhaustive validation oracle."""
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from seppchange import CoefficientSequence, ModelConfig, generate_series
+from seppchange import CoefficientSequence, CostCache, ModelConfig, generate_series
 from seppchange.cli import _run_replication
+from seppchange.detect import _cost_rows, _grid_points, _report
+
+ENUMERATION_GUARD = 2**20
 
 
 def random_feasible_matrix(rng, m, max_norm=1.0):
@@ -64,3 +68,90 @@ def run_setting_a_batch(rho, reps, seed, grid=1, jobs=2):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_replication, payloads))
     return [_run_replication(p) for p in payloads]
+
+
+def count_partitions(T, opts):
+    """Number of admissible partitions of [1, T] under min_segment and grid."""
+    starts, ends = _grid_points(T, opts)
+    n = {0: 1}
+    for e in ends:
+        total = 0
+        for s in starts:
+            if s > e - opts.min_segment + 1:
+                break
+            if s - 1 in n:
+                total += n[s - 1]
+        if total:
+            n[e] = total
+    return n.get(T, 0)
+
+
+def cost_table(series, config, opts):
+    """{(s, e): (cost, converged, iterations)} of every block, drained from the sweep."""
+    table = {}
+    for s, block_ends, costs, converged, iterations in _cost_rows(series, config, opts, CostCache()):
+        for e, cost, ok, its in zip(block_ends.tolist(), costs.tolist(), converged.tolist(), iterations.tolist()):
+            table[s, e] = (cost, ok, its)
+    return table
+
+
+def table_rows(table, T, opts):
+    """Rows of a {(s, e): cost} table, in the sweep's shape, for ``_bellman``."""
+    starts, ends = _grid_points(T, opts)
+    for s in starts:
+        block_ends = np.array([e for e in ends if e - s + 1 >= opts.min_segment], dtype=np.int64)
+        if not len(block_ends):
+            return
+        costs = np.array([table[s, e] for e in block_ends.tolist()])
+        yield s, block_ends, costs, np.ones(len(costs), dtype=bool), np.zeros(len(costs), dtype=np.int64)
+
+
+def best_partition(table, T, opts):
+    """Change points of the best partition of [1, T] over a {(s, e): cost} table.
+
+    Every admissible partition is enumerated and its objective folded
+    cost + gamma block by block, in the recursion's accumulation order; whole
+    objectives are compared, then block counts, then change points.  Refuses
+    instances with more than ENUMERATION_GUARD admissible partitions.
+    """
+    n_parts = count_partitions(T, opts)
+    if n_parts > ENUMERATION_GUARD:
+        raise ValueError(
+            f"{n_parts} admissible partitions exceed the enumeration guard ({ENUMERATION_GUARD})"
+        )
+    if T < 2 * opts.min_segment:
+        return ()
+    starts, ends = _grid_points(T, opts)
+    start_set = set(starts)
+    best = None
+    # Depth-first over block boundaries.
+    stack = [(0, 0.0, 0, ())]
+    while stack:
+        covered, value, k, cps = stack.pop()
+        if covered == T:
+            cand = (value, k, cps)
+            if best is None or cand < best:
+                best = cand
+            continue
+        s = covered + 1
+        if s not in start_set:
+            continue
+        for e in ends:
+            if e - s + 1 >= opts.min_segment:
+                stack.append((e, value + table[s, e] + opts.gamma, k + 1, cps + (s,) if s > 1 else cps))
+    return best[2]
+
+
+def exhaustive_search(series, config, opts):
+    """The report of the enumerated minimizer over the sweep's block costs.
+
+    A validation oracle for ``detect``: it shares the sweep and the refit but
+    not the recursion.  Where a prefix lost by a rounding residue that a
+    later block absorbs, the two can return different float minimizers (see
+    the ``seppchange.detect`` module docstring).
+    """
+    t0 = time.perf_counter()
+    full = cost_table(series, config, opts)
+    cps = best_partition({key: entry[0] for key, entry in full.items()}, series.T, opts)
+    nonconverged = sum(not entry[1] for entry in full.values())
+    return _report(series, config, opts, cps, {}, nonconverged, t0)

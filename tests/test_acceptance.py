@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from _support import (
+    exhaustive_search,
     random_feasible_matrix,
     random_instance,
     random_piecewise_sequence,
@@ -27,7 +28,6 @@ from seppchange import (
     ModelConfig,
     SolverOptions,
     detect,
-    exhaustive_search,
     fit_interval,
     generate_series,
     hausdorff,
@@ -68,9 +68,8 @@ def test_criterion_1_dp_oracle_equivalence():
             gamma=float(rng.uniform(0.0, 10.0)),
             min_segment=2,
         )
-        cache = CostCache()
-        got = detect(series, config, opts, cache=cache)
-        want = exhaustive_search(series, config, opts, cache=cache)
+        got = detect(series, config, opts)
+        want = exhaustive_search(series, config, opts)
         assert got.change_points.points == want.change_points.points
         denom = max(1.0, abs(want.total_objective))
         worst_rel = max(

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _support import best_partition, cost_table, count_partitions, exhaustive_search, table_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,18 +19,15 @@ from seppchange import (
     ScenarioSpec,
     SolverOptions,
     build_scenario,
-    count_partitions,
     default_tuning,
     detect,
-    exhaustive_search,
     generate_series,
     induced_partition,
     fit_interval,
-    interval_cost,
     nll,
     nll_gradient,
 )
-from seppchange.detect import _window
+from seppchange.detect import _bellman, _window
 from seppchange.glm import _fit_kernel, design_matrices
 
 
@@ -83,28 +81,16 @@ class TestIntervalCost:
         series = EventSeries(np.zeros((3, 12), dtype=int))
         config = ModelConfig(v=0.0, clip=2.0)
         for lam in (0.0, 1.0, 50.0):
-            cost = interval_cost(series, Interval(2, 9), lam, config)
+            cost = fit_interval(series, Interval(2, 9), lam, config).cost
             assert cost == pytest.approx(3 * 7, rel=1e-12)  # M*(e-s), A=0 optimal
 
     def test_determinism_across_runs(self):
         rng = np.random.default_rng(1)
         series = EventSeries(rng.integers(0, 5, size=(2, 15)))
         config = ModelConfig(v=0.1, clip=3.0)
-        c1 = interval_cost(series, Interval(1, 15), 2.0, config)
-        c2 = interval_cost(series, Interval(1, 15), 2.0, config)
+        c1 = fit_interval(series, Interval(1, 15), 2.0, config).cost
+        c2 = fit_interval(series, Interval(1, 15), 2.0, config).cost
         assert c1 == c2
-
-    def test_memoization(self):
-        rng = np.random.default_rng(2)
-        series = EventSeries(rng.integers(0, 5, size=(2, 10)))
-        config = ModelConfig(v=0.0, clip=3.0)
-        cache = CostCache()
-        interval_cost(series, Interval(1, 10), 1.0, config, cache=cache)
-        assert cache.stats() == {
-            "hits": 0, "misses": 1, "entries": 1, "screened": 0, "bounded": 0
-        }
-        interval_cost(series, Interval(1, 10), 1.0, config, cache=cache)
-        assert cache.stats()["hits"] == 1
 
 
 class TestDetect:
@@ -132,7 +118,7 @@ class TestDetect:
             opts = DetectOptions(lam=1.0, gamma=gamma)
             rep = detect(series, config, opts, cache=cache)
             assert rep.change_points.points == ()
-            oracle = exhaustive_search(series, config, opts, cache=cache)
+            oracle = exhaustive_search(series, config, opts)
             assert oracle.change_points.points == ()
             assert rep.total_objective == pytest.approx(
                 oracle.total_objective, rel=1e-12
@@ -149,15 +135,10 @@ class TestDetect:
         series = EventSeries(np.zeros((M, T), dtype=int))
         config = ModelConfig(v=0.0, clip=2.0)
         opts = DetectOptions(lam=1.0, gamma=1.0)
-        cache = CostCache()
-        assert detect(series, config, opts, cache=cache).change_points.points == ()
-        for s in range(1, T + 1):
-            for e in range(s + 1, T + 1):
-                cache.put((s, e), (float(M * (e - s)), True, 0))
-        rep = detect(series, config, opts, cache=cache)
-        assert rep.change_points.points == (3, 5)
-        oracle = exhaustive_search(series, config, opts, cache=cache)
-        assert oracle.change_points.points == (3, 5)
+        assert detect(series, config, opts).change_points.points == ()
+        table = {(s, e): float(M * (e - s)) for s in range(1, T + 1) for e in range(s + 1, T + 1)}
+        assert _bellman(table_rows(table, T, opts), T, opts, CostCache()) == (3, 5)
+        assert best_partition(table, T, opts) == (3, 5)
 
     @pytest.mark.parametrize(
         "cheap, points",
@@ -174,17 +155,22 @@ class TestDetect:
         # with one from a later start that the tie-break prefers, so the later
         # start must replace it.
         T = 8
-        series = EventSeries(np.zeros((1, T), dtype=int))
-        config = ModelConfig(v=0.0, clip=2.0)
         opts = DetectOptions(lam=1.0, gamma=0.0)
-        cache = CostCache()
-        detect(series, config, opts, cache=cache)
-        for s in range(1, T + 1):
-            for e in range(s + 1, T + 1):
-                cache.put((s, e), (0.0 if (s, e) in cheap else 5.0, True, 0))
-        assert detect(series, config, opts, cache=cache).change_points.points == points
-        oracle = exhaustive_search(series, config, opts, cache=cache)
-        assert oracle.change_points.points == points
+        table = {
+            (s, e): 0.0 if (s, e) in cheap else 5.0
+            for s in range(1, T + 1)
+            for e in range(s + 1, T + 1)
+        }
+        assert _bellman(table_rows(table, T, opts), T, opts, CostCache()) == points
+        assert best_partition(table, T, opts) == points
+
+    def test_bellman_without_a_split(self):
+        # Below 2 * min_segment no partition has two blocks.
+        opts = DetectOptions(lam=1.0, gamma=0.0, min_segment=3)
+        table = {(s, e): 0.0 for s in range(1, 6) for e in range(s + 1, 6)}
+        counts = CostCache()
+        assert _bellman(table_rows(table, 5, opts), 5, opts, counts) == ()
+        assert counts.hits == 0
 
     def test_objective_accounting(self):
         rng = np.random.default_rng(5)
@@ -375,21 +361,21 @@ class TestZeroScreen:
     SOLVER = SolverOptions(tol=1e-13)
 
     def sweep_vs_cold(self, series, config, opts):
-        cache = CostCache()
-        rep = detect(series, config, opts, cache=cache)
+        rep = detect(series, config, opts)
+        table = cost_table(series, config, opts)
         blocks = admissible_blocks(series.T, opts.min_segment)
-        assert len(blocks) == cache.stats()["entries"]
+        assert len(blocks) == rep.cache_stats["entries"]
         for s, e in blocks:
-            swept = cache.get((s, e))[0]
+            swept = table[s, e][0]
             cold = fit_interval(series, _window(s, e), opts.lam, config, self.SOLVER)
             assert swept == pytest.approx(cold.cost, rel=1e-9), (s, e)
-        return rep, cache
+        return rep
 
     def test_zero_regime_costs_equal_cold_fits(self):
         series, config = zero_regime_series()
         lam, gamma = default_tuning(series.T, series.M)
         opts = DetectOptions(lam=lam, gamma=gamma, solver=self.SOLVER)
-        rep, cache = self.sweep_vs_cold(series, config, opts)
+        rep = self.sweep_vs_cold(series, config, opts)
         assert rep.change_points.points == ()
 
     def test_default_tuning_screens_every_fit(self):
@@ -409,9 +395,9 @@ class TestZeroScreen:
         series, config = mixed_series()
         lam = median_screen_lam(series, config)
         opts = DetectOptions(lam=lam, gamma=1.0, solver=self.SOLVER)
-        rep, cache = self.sweep_vs_cold(series, config, opts)
+        rep = self.sweep_vs_cold(series, config, opts)
         # both paths ran: some windows were screened, some were fitted
-        assert 0 < cache.screened < cache.stats()["entries"]
+        assert 0 < rep.cache_stats["screened"] < rep.cache_stats["entries"]
         assert rep.nonconverged_fits == 0
 
     def test_mixed_detect_equals_exhaustive(self):
@@ -441,15 +427,15 @@ class TestZeroScreen:
             lam = default_tuning(series.T, series.M)[0]
         opts = DetectOptions(lam=lam, gamma=1.0, grid=grid)
         want = exact_rule_costs(series, config, opts)
-        cache = CostCache()
-        detect(series, config, opts, cache=cache)
-        got = {key: cache.get(key) for key in want}
-        assert cache.stats()["entries"] == len(want)
+        stats = detect(series, config, opts).cache_stats
+        got = cost_table(series, config, opts)
+        assert stats["entries"] == len(want)
+        assert got.keys() == want.keys()
         assert {k for k, v in got.items() if v[2] == 0} == {
             k for k, v in want.items() if v[2] == 0
         }
-        assert 0 < cache.bounded <= cache.screened
-        assert cache.bounded == min_bound_settled(series, config, opts)
+        assert 0 < stats["bounded"] <= stats["screened"]
+        assert stats["bounded"] == min_bound_settled(series, config, opts)
         for key, (cost, converged, iterations) in want.items():
             assert got[key][1:] == (converged, iterations), key
             if grid == 1:
@@ -458,7 +444,7 @@ class TestZeroScreen:
                 assert got[key][0] == pytest.approx(cost, rel=1e-12, abs=0), key
         if case in ("mixed", "zero_regime") and grid == 1:
             # all three levels ran: bound, exact test and solver
-            assert cache.bounded < cache.screened < len(want)
+            assert stats["bounded"] < stats["screened"] < len(want)
 
     def test_window_inside_the_slack_reaches_the_exact_test(self):
         # One window, [1, 4], with r(t) = 1 - X(t+1) < 0 throughout: the bound
@@ -470,10 +456,10 @@ class TestZeroScreen:
         cold = fit_interval(series, Interval(1, 4), 6.5, config)
         assert not cold.matrix.any()
         for lam, bounded in ((6.5, 0), (6.5 * (1 + 1e-9), 1)):
-            cache = CostCache()
-            detect(series, config, DetectOptions(lam=lam, gamma=1.0, min_segment=4), cache)
-            assert (cache.screened, cache.bounded) == (1, bounded)
-            cost, converged, iterations = cache.get((1, 4))
+            opts = DetectOptions(lam=lam, gamma=1.0, min_segment=4)
+            stats = detect(series, config, opts).cache_stats
+            assert (stats["screened"], stats["bounded"]) == (1, bounded)
+            cost, converged, iterations = cost_table(series, config, opts)[1, 4]
             assert iterations == 0 and converged
             assert cost == pytest.approx(cold.cost, rel=1e-12)
 
@@ -487,19 +473,17 @@ class TestZeroScreen:
         config = ModelConfig(v=0.0, clip=5.0)
         opts = DetectOptions(lam=1.5 / math.sqrt(3), gamma=1.0, min_segment=3)
         assert min_bound_settled(series, config, opts) == 1
-        cache = CostCache()
-        detect(series, config, opts, cache)
-        assert (cache.screened, cache.bounded) == (1, 1)
+        stats = detect(series, config, opts).cache_stats
+        assert (stats["screened"], stats["bounded"]) == (1, 1)
         cold = fit_interval(series, Interval(1, 3), opts.lam, config)
         assert not cold.matrix.any()
-        cost, converged, iterations = cache.get((1, 3))
+        cost, converged, iterations = cost_table(series, config, opts)[1, 3]
         assert iterations == 0 and converged
         assert cost == pytest.approx(cold.cost, rel=1e-12)
         # at a threshold below the column bound neither bound settles it
         low = DetectOptions(lam=0.9 / math.sqrt(3), gamma=1.0, min_segment=3)
-        cache = CostCache()
-        detect(series, config, low, cache)
-        assert cache.bounded == min_bound_settled(series, config, low) == 0
+        stats = detect(series, config, low).cache_stats
+        assert stats["bounded"] == min_bound_settled(series, config, low) == 0
 
     def test_boundary_gradient_is_screened(self):
         # Window [1, 4] of this series has grad nll(0) = sum (1 - X(t+1)) X(t)
@@ -508,11 +492,9 @@ class TestZeroScreen:
         series = EventSeries(np.array([[1, 3, 0, 2]]))
         config = ModelConfig(v=0.0, clip=5.0)
         opts = DetectOptions(lam=0.5, gamma=1.0)
-        cache = CostCache()
-        detect(series, config, opts, cache=cache)
         cold = fit_interval(series, Interval(1, 4), opts.lam, config)
         assert not cold.matrix.any()
-        cost, converged, iterations = cache.get((1, 4))
+        cost, converged, iterations = cost_table(series, config, opts)[1, 4]
         assert iterations == 0 and converged
         assert cost == pytest.approx(cold.cost, rel=1e-12)
 
@@ -554,6 +536,20 @@ class TestCostPaths:
         assert again.change_points.points == first.change_points.points
         assert again.total_objective.hex() == first.total_objective.hex()
         assert cache.misses == misses
+
+    @pytest.mark.parametrize("max_iter", [1, 5000])
+    def test_replay_equals_the_filling_detect(self, max_iter):
+        series, config = mixed_series()
+        opts = DetectOptions(
+            lam=median_screen_lam(series, config), gamma=1.0, solver=SolverOptions(max_iter=max_iter)
+        )
+        cache = CostCache()
+        first = detect(series, config, opts, cache)
+        again = detect(series, config, opts, cache)
+        assert (first.nonconverged_fits > 0) == (max_iter == 1)
+        assert again.change_points.points == first.change_points.points
+        assert again.total_objective.hex() == first.total_objective.hex()
+        assert again.nonconverged_fits == first.nonconverged_fits
 
     def test_streamed_detect_keeps_no_cost_table(self):
         # The benchmark series at the default tuning has 44,850 blocks: a
@@ -636,9 +632,8 @@ class TestExhaustive:
             opts = DetectOptions(
                 lam=float(rng.uniform(0, 5)), gamma=float(rng.uniform(0, 10))
             )
-            cache = CostCache()
-            got = detect(series, config, opts, cache=cache)
-            want = exhaustive_search(series, config, opts, cache=cache)
+            got = detect(series, config, opts)
+            want = exhaustive_search(series, config, opts)
             assert got.change_points.points == want.change_points.points
             assert got.total_objective == pytest.approx(
                 want.total_objective, rel=1e-9
@@ -653,13 +648,12 @@ class TestExhaustive:
         series = EventSeries(np.array([[0, 1, 0, 0, 1, 1]]))
         config = ModelConfig(v=0.53125, clip=3.0)
         opts = DetectOptions(lam=0.0, gamma=0.0, grid=2)
-        cache = CostCache()
-        got = detect(series, config, opts, cache=cache)
-        want = exhaustive_search(series, config, opts, cache=cache)
+        got = detect(series, config, opts)
+        want = exhaustive_search(series, config, opts)
         assert got.change_points.points == (3, 5)
         assert want.change_points.points == (5,)
         assert got.total_objective == want.total_objective
-        c = {key: entry[0] for key, entry in cache.items()}
+        c = {key: entry[0] for key, entry in cost_table(series, config, opts).items()}
         assert c[1, 2] + c[3, 4] < c[1, 4]
         assert (c[1, 2] + c[3, 4]) + c[5, 6] == c[1, 4] + c[5, 6]
 
@@ -681,12 +675,11 @@ class TestExhaustive:
             min_segment=data.draw(st.integers(min_value=2, max_value=3)),
             grid=data.draw(st.integers(min_value=1, max_value=2)),
         )
-        cache = CostCache()
-        got = detect(series, config, opts, cache=cache)
-        want = exhaustive_search(series, config, opts, cache=cache)
+        got = detect(series, config, opts)
+        want = exhaustive_search(series, config, opts)
         assert got.total_objective == pytest.approx(want.total_objective, rel=1e-12, abs=1e-12)
         g, w = got.change_points.points, want.change_points.points
-        table = {key: entry[0] for key, entry in cache.items()}
+        table = {key: entry[0] for key, entry in cost_table(series, config, opts).items()}
         folds = float_folds(table, T, opts, T)
         assert folds[g] == folds[w] == min(folds.values())
         if g != w:
@@ -708,25 +701,19 @@ class TestExhaustive:
         # tie on value, so the recursion's tie path runs often: it must pick
         # what enumeration picks, the fewest blocks and then the smallest
         # change points.
-        M = data.draw(st.integers(min_value=1, max_value=2))
         T = data.draw(st.integers(min_value=4, max_value=12))
-        series = EventSeries(np.zeros((M, T), dtype=int))
-        config = ModelConfig(v=0.0, clip=2.0)
         opts = DetectOptions(
             lam=1.0,
             gamma=data.draw(st.sampled_from([0.0, 1.0, 2.0])),
             min_segment=data.draw(st.integers(min_value=2, max_value=3)),
             grid=data.draw(st.integers(min_value=1, max_value=2)),
         )
-        cache = CostCache()
-        detect(series, config, opts, cache=cache)
+        table = {}
         for s in range(1, T + 1):
             for e in range(s + 1, T + 1):
-                cost = float(data.draw(st.integers(min_value=0, max_value=2)))
-                cache.put((s, e), (cost, True, 0))
-        got = detect(series, config, opts, cache=cache).change_points.points
-        want = exhaustive_search(series, config, opts, cache=cache).change_points.points
-        assert got == want
+                table[s, e] = float(data.draw(st.integers(min_value=0, max_value=2)))
+        got = _bellman(table_rows(table, T, opts), T, opts, CostCache())
+        assert got == best_partition(table, T, opts)
 
 
 class TestCache:
@@ -738,10 +725,6 @@ class TestCache:
         detect(s1, c1, DetectOptions(lam=1.0, gamma=1.0), cache=cache)
         with pytest.raises(ValueError):
             detect(s2, c2, DetectOptions(lam=1.0, gamma=1.0), cache=cache)
-        # block costs and interval fits differ for the same key, so a cache
-        # never serves both
-        with pytest.raises(ValueError):
-            interval_cost(s1, Interval(2, 9), 1.0, c1, cache=cache)
 
     def test_fresh_series_never_served_stale_costs(self):
         # A context keyed on id(series.counts) matched a new series whose array
@@ -779,25 +762,18 @@ class TestCache:
         with pytest.raises(ValueError):
             detect(EventSeries(counts[:, :9]), config, opts, cache=cache)
 
-    def test_partly_filled_cache(self):
-        # A grid-3 detect caches a subset of the grid-1 blocks.  A grid-1
-        # detect on the same cache then sweeps every start with the warm
-        # starts of a fresh sweep and stores only the blocks it lacks.
+    @pytest.mark.parametrize(
+        "filled, asked", [({"grid": 3}, {"grid": 1}), ({"min_segment": 2}, {"min_segment": 3})]
+    )
+    def test_cache_refuses_other_blocks(self, filled, asked):
+        # The grid and min_segment fix a row's blocks, so a cache filled
+        # under one never serves the other, not even in part.
         rng = np.random.default_rng(18)
         series, config = random_instance(rng, T=14, m=2)
-        coarse, fine = (DetectOptions(lam=0.4, gamma=0.3, grid=g) for g in (3, 1))
-        cache, fresh = CostCache(), CostCache()
-        detect(series, config, coarse, cache=cache)
-        before = dict(cache.items())
-        got = detect(series, config, fine, cache=cache)
-        want = detect(series, config, fine, cache=fresh)
-        assert got.change_points.points == want.change_points.points
-        assert got.total_objective == pytest.approx(want.total_objective, rel=1e-9)
-        stored = dict(cache.items())
-        assert 0 < len(before) < len(dict(fresh.items())) == len(stored)
-        assert cache.misses == fresh.misses  # each block missed by one sweep
-        for key, entry in fresh.items():
-            assert stored[key] == before.get(key, entry), key
+        cache = CostCache()
+        detect(series, config, DetectOptions(lam=0.4, gamma=0.3, **filled), cache=cache)
+        with pytest.raises(ValueError):
+            detect(series, config, DetectOptions(lam=0.4, gamma=0.3, **asked), cache=cache)
 
     def test_stats_in_report(self):
         rng = np.random.default_rng(15)

@@ -2,7 +2,9 @@
 
 A traced run calls the library in process and must still end in exactly one
 strict-JSON result line: a library that prints, warns or hands the harness a
-value that serializes as NaN or Infinity breaks that line.
+value that serializes as NaN or Infinity breaks that line.  The line must
+also carry every per-layer metric that ``BENCHMARK.json`` declares: the
+harness leaves out a metric whose probe finds no counter or argument to read.
 """
 
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DECLARED = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 
 
 def _reject_constant(name):
@@ -48,4 +51,6 @@ def test_traced_run_ends_in_one_strict_json_line(workload):
     assert result["metrics"]
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name
+    missing = [name for name in DECLARED if name not in result["metrics"]]
+    assert not missing, f"declared metrics missing: {missing}"
     assert proc.stderr == ""
