@@ -37,7 +37,7 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite constant {name}")
 
 
-def problems(code: int, stdout: str, stderr: str, declared: list[str] = ()) -> list[str]:
+def problems(code: int, stdout: str, stderr: str, declared: list[str]) -> list[str]:
     """Every way one traced run's output falls short of a result line.
 
     ``declared`` names the metrics the result line must carry.

@@ -448,7 +448,7 @@ def _bellman(rows, T: int, opts: DetectOptions, counts: CostCache) -> tuple[int,
     that the recursion reads is counted as a hit on ``counts``.
     """
     gamma = opts.gamma
-    short = T < 2 * opts.min_segment  # no split fits: the one block [1, T]
+    short = T < 2 * opts.min_segment  # no split fits: read no cost, keep [1, T]
     # For every end e, the best partition of [1, e] found so far: its
     # objective, its number of blocks and the start of its last block.
     value = np.full(T + 1, np.inf)
@@ -478,7 +478,7 @@ def _bellman(rows, T: int, opts: DetectOptions, counts: CostCache) -> tuple[int,
         blocks[won] = blocks[s - 1] + 1
         last[won] = s
         reached[won] = True
-    return () if short else _change_points(last, T)
+    return _change_points(last, T)
 
 
 def _change_points(last: np.ndarray, e: int) -> tuple[int, ...]:

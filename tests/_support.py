@@ -89,8 +89,8 @@ def count_partitions(T, opts):
 def cost_table(series, config, opts):
     """{(s, e): (cost, converged, iterations)} of every block, drained from the sweep."""
     table = {}
-    for s, block_ends, costs, converged, iterations in _cost_rows(series, config, opts, CostCache()):
-        for e, cost, ok, its in zip(block_ends.tolist(), costs.tolist(), converged.tolist(), iterations.tolist()):
+    for s, *row in _cost_rows(series, config, opts, CostCache()):
+        for e, cost, ok, its in zip(*(column.tolist() for column in row)):
             table[s, e] = (cost, ok, its)
     return table
 
@@ -103,7 +103,8 @@ def table_rows(table, T, opts):
         if not len(block_ends):
             return
         costs = np.array([table[s, e] for e in block_ends.tolist()])
-        yield s, block_ends, costs, np.ones(len(costs), dtype=bool), np.zeros(len(costs), dtype=np.int64)
+        flags, iters = np.ones(len(costs), dtype=bool), np.zeros(len(costs), dtype=np.int64)
+        yield s, block_ends, costs, flags, iters
 
 
 def best_partition(table, T, opts):
@@ -138,7 +139,8 @@ def best_partition(table, T, opts):
             continue
         for e in ends:
             if e - s + 1 >= opts.min_segment:
-                stack.append((e, value + table[s, e] + opts.gamma, k + 1, cps + (s,) if s > 1 else cps))
+                points = cps + (s,) if s > 1 else cps
+                stack.append((e, value + table[s, e] + opts.gamma, k + 1, points))
     return best[2]
 
 
