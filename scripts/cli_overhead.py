@@ -10,15 +10,16 @@ runs the CLI:
     W              python -m seppchange.cli <the command of workload W>
     W, os._exit    the same command through main(), then os._exit
     replicate-b, --jobs 1
-                   replicate-b's command on one process instead of two workers
+                   replicate-b's command in one process instead of two
 
 ``W`` ends the way the checkout's CLI ends; ``W, os._exit`` flushes stdout
 and stderr and leaves without any interpreter shutdown, so the difference
 of the two is what the checkout's exit costs.  The workloads are the three
 of ``perfbench/run.py``: a default-tuning detect and a lam-400, grid-30
 detect of its setting (a) series, and its 16-replication setting (b) batch
-on two workers.  The same batch with ``--jobs 1`` shows what the two workers
-gain or lose against one process.
+with ``--jobs 2``, which runs in the command process and one forked child.
+The same batch with ``--jobs 1`` shows what the second process gains or loses
+against one process.
 
 Usage, from anywhere:
 
@@ -28,9 +29,9 @@ Without ``--parent`` only the change checkout is measured.  Runs alternate:
 within each run every step runs once on each side, and the side that goes
 first alternates from run to run.  The script prints, per step and side, the
 median and quartiles of the wall time and of the child's CPU time (user plus
-system, its reaped workers included), and for the CLI commands the medians of
+system, its reaped children included), and for the CLI commands the medians of
 the peak RSS and of the involuntary context switches (``ru_nivcsw``) that
-wait4 reports.  The switch count sums the command's process and the workers
+wait4 reports.  The switch count sums the command's process and the children
 it reaped, so it cannot tell which of them waited for a CPU.  This script
 imports nothing heavy itself, so that peak is the command's own.
 """

@@ -11,9 +11,11 @@ File formats are stable and versioned:
 
 All randomness flows from ``--seed``; replications derive per-index
 counter-based substreams, so ``--jobs N`` changes wall time, never results.
-``replicate --jobs N`` runs ``min(N, reps)`` worker processes, or runs in
-process when that is below 2; each worker starts on its own CPU of the
-parent's affinity mask, then may run on any of them.
+``replicate --jobs N`` splits the batch into ``min(N, reps)`` shares: the
+command process runs one, and a forked child each of the others (in process
+alone when that is below 2, or where the platform cannot fork).  Each process
+starts on its own CPU of the command's affinity mask, then may run on any of
+them.
 Exit codes: 0 success, 1 usage, 2 data error, 3 solver hard failure,
 4 partial replication failure.
 
@@ -36,6 +38,8 @@ import gc
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 
@@ -464,37 +468,83 @@ _REP_FIELDS = [
 ]
 
 
-def _spread_worker(counter, cpus: list[int]) -> None:
-    """Pool initializer: start the k-th worker on CPU ``cpus[k % len(cpus)]``.
+def _start_on(cpus: list[int], k: int) -> None:
+    """Move this process to CPU ``cpus[k % len(cpus)]``, then give it every CPU
+    of ``cpus`` back: the move places it without pinning it for good."""
+    if cpus:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
 
-    k comes from ``counter``, a ``multiprocessing.Value`` that the workers
-    share.  The worker moves to that one CPU, then gets every CPU of ``cpus``
-    back, so the start spreads the workers without pinning them for good.
+
+def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, str | None]]:
+    """``_run_replication_safe`` of each payload, in order, on ``workers`` processes.
+
+    This process and ``workers - 1`` forked children each run one share: share
+    k holds the payloads k, k + W, k + 2W, ... for W = ``workers``.  Child k
+    starts on the k-th CPU of this process's mask and this process on the
+    first (``_start_on``).  Each child sends its share's results back as one
+    pickled list through its own pipe and leaves through ``os._exit``, so
+    neither the stdio buffers nor the atexit handlers it inherited run twice.
+    A child that does not exit 0 has each replication of its share recorded
+    as failed, with its exit status (minus the signal's number if a signal
+    killed it).  No child outlives the call: one that is
+    not reaped when this process leaves, say on KeyboardInterrupt, is killed.
     """
-    with counter.get_lock():
-        k = counter.value
-        counter.value += 1
-    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-    os.sched_setaffinity(0, set(cpus))
+    # numpy imports numpy.random on first use, which is a replication's first
+    # `generate_series`; imported here, the children inherit it instead of
+    # each paying about 10 ms for it.  gc.freeze() then moves this process's
+    # heap into the permanent generation, so the children's collections
+    # neither scan it nor write to its pages (the pre-fork idiom of the gc
+    # module's documentation).  stdout and stderr are flushed first, so no
+    # child holds a copy of what they buffer.
+    import numpy.random  # noqa: F401
 
-
-def _replicate_pool(workers: int):
-    """The process pool of ``replicate``: ``workers`` workers, spread by
-    ``_spread_worker`` over the CPUs this process may use, where the platform
-    can set a process's CPUs."""
-    # Imported only here: the pool's modules add about 15 ms to every
-    # CLI start (measured with -X importtime on a 2-vCPU x86-64 host).
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if not hasattr(os, "sched_setaffinity"):
-        return ProcessPoolExecutor(max_workers=workers)
-    cpus = sorted(os.sched_getaffinity(0))
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_spread_worker,
-        initargs=(multiprocessing.Value("i", 0), cpus),
-    )
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    results: list = [None] * len(payloads)
+    children: dict = {}  # pid -> (share, read end of its pipe)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.freeze()
+    try:
+        _start_on(cpus, 0)
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    _start_on(cpus, k)
+                    share = [(i, _run_replication_safe(payloads[i]))
+                             for i in range(k, len(payloads), workers)]
+                    with os.fdopen(write_end, "wb") as fh:
+                        pickle.dump(share, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children[pid] = (k, os.fdopen(read_end, "rb"))
+        for i in range(0, len(payloads), workers):
+            results[i] = _run_replication_safe(payloads[i])
+        for pid, (k, pipe) in list(children.items()):
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pipe.close()
+            del children[pid]
+            if status == 0:
+                for i, result in pickle.loads(data):
+                    results[i] = result
+            else:
+                err = f"worker {k} exited with status {os.waitstatus_to_exitcode(status)}"
+                for i in range(k, len(payloads), workers):
+                    results[i] = (None, err)
+    finally:
+        for pid, (_, pipe) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        gc.unfreeze()
+    return results
 
 
 def cmd_replicate(args, argv: list[str]) -> int:
@@ -505,41 +555,23 @@ def cmd_replicate(args, argv: list[str]) -> int:
     rows: list[dict] = []
     failures: list[tuple[int, str]] = []
     workers = min(args.jobs, len(payloads))
-    if workers > 1:
-        # Two steps before the workers fork (the pool's start method on Linux
-        # before Python 3.14).  numpy imports numpy.random on first use, which
-        # is a worker's first `generate_series`; imported here, the workers
-        # inherit it instead of each paying about 10 ms for it.  gc.freeze()
-        # then moves the parent's heap into the permanent generation, so the
-        # workers' collections neither scan it nor write to its pages (the
-        # pre-fork idiom of the gc module's documentation).  Neither step is
-        # at module scope: detect and --version use neither.
-        #
-        # Each worker then starts on its own CPU (`_spread_worker`).  Forked
-        # workers start on the parent's CPU, and on a 2-vCPU x86-64 host both
-        # stayed there for a whole 16-replication batch: a replication took
-        # 10-14 ms of wall time for 6-7 ms of CPU time, and --jobs 2 ran
-        # slower than --jobs 1.  The worker gets the full mask back at once,
-        # so the scheduler can still move it off a CPU that other work keeps
-        # busy; a lasting pin measured no faster.
-        import numpy.random  # noqa: F401
-
-        pool = _replicate_pool(workers)
-        gc.freeze()
-        try:
-            with pool:
-                futures = list(pool.map(_run_replication_safe, payloads))
-        finally:
-            gc.unfreeze()
-        for rep, (row, err) in enumerate(futures):
-            (rows.append(row) if err is None else failures.append((rep, err)))
+    if workers > 1 and hasattr(os, "fork"):
+        # One share of the batch runs in this process, the others in forked
+        # children (`_forked_map`).  Each share starts on its own CPU.  Forked
+        # processes start on the parent's CPU, and on a 2-vCPU x86-64 host two
+        # pool workers stayed there for a whole 16-replication batch: a
+        # replication took 10-14 ms of wall time for 6-7 ms of CPU time, and
+        # --jobs 2 ran slower than --jobs 1.  Each process gets the full mask
+        # back at once, so the scheduler can still move it off a CPU that
+        # other work keeps busy; a lasting pin measured no faster.
+        results = _forked_map(payloads, workers)
     else:
-        for payload in payloads:
-            row, err = _run_replication_safe(payload)
-            if err is None:
-                rows.append(row)
-            else:
-                failures.append((payload["rep"], err))
+        results = [_run_replication_safe(payload) for payload in payloads]
+    for payload, (row, err) in zip(payloads, results):
+        if err is None:
+            rows.append(row)
+        else:
+            failures.append((payload["rep"], err))
 
     rep_path = os.path.join(out, "replications.csv")
     with open(rep_path, "w", encoding="utf-8", newline="") as fh:

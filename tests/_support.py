@@ -1,12 +1,11 @@
 """Shared helpers for the test suite, and the exhaustive validation oracle."""
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from seppchange import CoefficientSequence, CostCache, ModelConfig, generate_series
-from seppchange.cli import _run_replication
+from seppchange.cli import _forked_map, _run_replication
 from seppchange.detect import _cost_rows, _grid_points, _report
 
 ENUMERATION_GUARD = 2**20
@@ -64,10 +63,14 @@ def run_setting_a_batch(rho, reps, seed, grid=1, jobs=2):
         }
         for rep in range(reps)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_replication, payloads))
-    return [_run_replication(p) for p in payloads]
+    if jobs < 2:
+        return [_run_replication(p) for p in payloads]
+    rows = []
+    for payload, (row, err) in zip(payloads, _forked_map(payloads, jobs)):
+        if err is not None:
+            raise RuntimeError(f"replication {payload['rep']} failed: {err}")
+        rows.append(row)
+    return rows
 
 
 def count_partitions(T, opts):

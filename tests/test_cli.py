@@ -1,6 +1,5 @@
 import gc
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,8 +14,6 @@ from seppchange.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
-    _replicate_pool,
-    _spread_worker,
     main,
     read_counts_csv,
     read_event_csv,
@@ -321,15 +318,18 @@ class TestReplicateCommand:
 
     def test_jobs_do_not_change_results(self, tmp_path):
         outs = {}
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             out = tmp_path / f"j{jobs}"
-            main(
-                ["replicate", "--setting", "b", "--T", "12", "--reps", "2",
+            code = main(
+                ["replicate", "--setting", "b", "--T", "12", "--reps", "5",
                  "--seed", "11", "--gamma", "2.0", "--lambda", "5.0",
                  "--max-iter", "300", "--jobs", str(jobs), "-o", str(out)]
             )
-            outs[jobs] = _strip_wall_column((out / "replications.csv").read_text())
-        assert outs[1] == outs[2]
+            assert code == EXIT_OK
+            outs[jobs] = (_strip_wall_column((out / "replications.csv").read_text()),
+                          (out / "summary.csv").read_text())
+        assert len(outs[1][0]) == 6
+        assert outs[1] == outs[2] == outs[3]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
@@ -341,11 +341,11 @@ class TestReplicateCommand:
         assert not out.exists()
 
     def test_one_rep_runs_in_process(self, tmp_path, monkeypatch):
-        # min(jobs, reps) workers: one task starts no pool
-        def no_pool(workers):
-            raise AssertionError(f"started a pool of {workers} for one replication")
+        # min(jobs, reps) shares: one replication forks no child
+        def no_fork(payloads, workers):
+            raise AssertionError(f"split one replication over {workers} processes")
 
-        monkeypatch.setattr("seppchange.cli._replicate_pool", no_pool)
+        monkeypatch.setattr("seppchange.cli._forked_map", no_fork)
         out = tmp_path / "reps"
         code = main(["replicate", "--setting", "b", "--T", "12", "--reps", "1", "--seed", "5",
                      "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300",
@@ -362,33 +362,84 @@ class TestReplicateCommand:
             assert len((out / name).read_text().splitlines()) == 1
 
 
-def test_spread_worker_cycles_through_the_cpus(monkeypatch):
-    calls = []
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)),
-                        raising=False)
-    counter = multiprocessing.Value("i", 0)
-    for _ in range(3):
-        _spread_worker(counter, [3, 5])
-    assert calls == [(0, {3}), (0, {3, 5}), (0, {5}), (0, {3, 5}), (0, {3}), (0, {3, 5})]
+def _replicate_b(out, reps=4, jobs=2):
+    return ["replicate", "--setting", "b", "--T", "12", "--reps", str(reps), "--seed", "5",
+            "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300", "--jobs", str(jobs),
+            "-o", str(out)]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
 class TestSpreadPool:
     def test_replicate_keeps_the_parent_mask(self, tmp_path):
         before = os.sched_getaffinity(0)
-        code = main(
-            ["replicate", "--setting", "b", "--T", "12", "--reps", "3", "--seed", "5",
-             "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300", "--jobs", "2",
-             "-o", str(tmp_path / "reps")]
-        )
+        code = main(_replicate_b(tmp_path / "reps", reps=3))
         assert code == EXIT_OK
         assert os.sched_getaffinity(0) == before
 
-    def test_workers_get_the_full_mask_back(self):
-        # the spread moves each worker once at start; no pin outlives it
-        with _replicate_pool(2) as pool:
-            masks = [pool.submit(os.sched_getaffinity, 0).result(timeout=60) for _ in range(4)]
-        assert masks == [os.sched_getaffinity(0)] * 4
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_every_replication_runs_on_the_full_mask(self, tmp_path, monkeypatch):
+        # each process is moved once at start; no pin outlives the move
+        run = seppchange.cli._run_replication
+
+        def recording(payload):
+            mask = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+            (tmp_path / f"mask{payload['rep']}").write_text(f"{os.getpid()} {mask}")
+            return run(payload)
+
+        monkeypatch.setattr("seppchange.cli._run_replication", recording)
+        assert main(_replicate_b(tmp_path / "reps")) == EXIT_OK
+        records = [(tmp_path / f"mask{rep}").read_text().split() for rep in range(4)]
+        parent = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+        assert [mask for _, mask in records] == [parent] * 4
+        assert {pid for pid, _ in records[0::2]} == {str(os.getpid())}
+        assert str(os.getpid()) not in {pid for pid, _ in records[1::2]}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestForkedBatch:
+    def test_dead_child_fails_its_share_only(self, tmp_path, monkeypatch, capsys):
+        run, parent = seppchange.cli._run_replication, os.getpid()
+
+        def dying(payload):
+            if payload["rep"] == 1 and os.getpid() != parent:
+                os._exit(9)
+            return run(payload)
+
+        monkeypatch.setattr("seppchange.cli._run_replication", dying)
+        out = tmp_path / "reps"
+        assert main(_replicate_b(out)) == EXIT_PARTIAL
+        rows = (out / "replications.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["replication 1 failed", "replication 3 failed"]
+        assert all(line.endswith("worker 1 exited with status 9") for line in err)
+
+    def test_no_child_outlives_an_interrupt(self, tmp_path, monkeypatch):
+        run, parent = seppchange.cli._run_replication, os.getpid()
+
+        def interrupted(payload):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return run(payload)
+
+        monkeypatch.setattr("seppchange.cli._run_replication", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(_replicate_b(tmp_path / "reps"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == 0
+
+    def test_piped_stdout_prints_the_summary_once(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seppchange.cli", *_replicate_b(tmp_path / "reps")],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines() == [proc.stdout.strip()]
+        assert proc.stdout.startswith("setting (b) param=12 reps=4: ")
+        assert proc.stderr == ""
 
 
 def test_console_script_version():
@@ -410,18 +461,22 @@ LAZY_SCRIPT = """
 import sys
 from seppchange import cli
 if len(sys.argv) > 2:
-    assert cli.main(["detect", sys.argv[2], "--v", "0.3", "--clip", "4", "-o", sys.argv[3]]) == 0
+    assert cli.main(sys.argv[2:]) == 0
 print(sys.argv[1] in sys.modules)
 """
 
 
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "multiprocessing", "numpy.random"])
 def test_import_leaves_the_process_pool_out(module, counts_csv, tmp_path):
-    # replicate imports the pool, multiprocessing and numpy.random only when it
-    # starts workers; neither the import nor a default-tuning detect pulls any in
-    for extra in ([], [str(counts_csv), str(tmp_path / "report.json")]):
+    # Neither the import nor a default-tuning detect pulls in these modules;
+    # a --jobs 2 replicate imports numpy.random before it forks, but no pool
+    runs = [[], ["detect", str(counts_csv), "--v", "0.3", "--clip", "4",
+                 "-o", str(tmp_path / "report.json")]]
+    if module != "numpy.random":
+        runs.append(_replicate_b(tmp_path / "reps"))
+    for argv in runs:
         proc = subprocess.run(
-            [sys.executable, "-c", LAZY_SCRIPT, module, *extra],
+            [sys.executable, "-c", LAZY_SCRIPT, module, *argv],
             capture_output=True,
             text=True,
             env=_src_env(),
