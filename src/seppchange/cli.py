@@ -39,7 +39,6 @@ import json
 import math
 import os
 import pickle
-import signal
 import sys
 import time
 
@@ -487,8 +486,10 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
     neither the stdio buffers nor the atexit handlers it inherited run twice.
     A child that does not exit 0 has each replication of its share recorded
     as failed, with its exit status (minus the signal's number if a signal
-    killed it).  No child outlives the call: one that is
-    not reaped when this process leaves, say on KeyboardInterrupt, is killed.
+    killed it).  No child outlives the call: one that is not reaped when this
+    process leaves, say on KeyboardInterrupt, is killed.  A child holds a copy
+    of the calling thread only, so the caller must run no other thread: the
+    command process starts none.
     """
     # numpy imports numpy.random on first use, which is a replication's first
     # `generate_series`; imported here, the children inherit it instead of
@@ -496,7 +497,10 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
     # heap into the permanent generation, so the children's collections
     # neither scan it nor write to its pages (the pre-fork idiom of the gc
     # module's documentation).  stdout and stderr are flushed first, so no
-    # child holds a copy of what they buffer.
+    # child holds a copy of what they buffer.  signal is imported here too:
+    # it adds about 0.6 ms to every CLI start, and only this call uses it.
+    import signal
+
     import numpy.random  # noqa: F401
 
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
@@ -559,7 +563,7 @@ def cmd_replicate(args, argv: list[str]) -> int:
         # One share of the batch runs in this process, the others in forked
         # children (`_forked_map`).  Each share starts on its own CPU.  Forked
         # processes start on the parent's CPU, and on a 2-vCPU x86-64 host two
-        # pool workers stayed there for a whole 16-replication batch: a
+        # forked workers stayed there for a whole 16-replication batch: a
         # replication took 10-14 ms of wall time for 6-7 ms of CPU time, and
         # --jobs 2 ran slower than --jobs 1.  Each process gets the full mask
         # back at once, so the scheduler can still move it off a CPU that

@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 from seppchange import CoefficientSequence, CostCache, ModelConfig, generate_series
-from seppchange.cli import _forked_map, _run_replication
+from seppchange.cli import _forked_map
 from seppchange.detect import _cost_rows, _grid_points, _report
 
 ENUMERATION_GUARD = 2**20
@@ -43,8 +43,8 @@ def random_instance(rng, T=None, m=None):
     return series, config
 
 
-def run_setting_a_batch(rho, reps, seed, grid=1, jobs=2):
-    """Simulate-detect-evaluate replications of setting (a) at default tuning."""
+def run_setting_a_batch(rho, reps, seed, grid=1):
+    """Simulate-detect-evaluate replications of setting (a) at default tuning, on two processes."""
     payloads = [
         {
             "setting": "a",
@@ -63,10 +63,8 @@ def run_setting_a_batch(rho, reps, seed, grid=1, jobs=2):
         }
         for rep in range(reps)
     ]
-    if jobs < 2:
-        return [_run_replication(p) for p in payloads]
     rows = []
-    for payload, (row, err) in zip(payloads, _forked_map(payloads, jobs)):
+    for payload, (row, err) in zip(payloads, _forked_map(payloads, 2)):
         if err is not None:
             raise RuntimeError(f"replication {payload['rep']} failed: {err}")
         rows.append(row)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -387,9 +388,9 @@ class TestSpreadPool:
             return run(payload)
 
         monkeypatch.setattr("seppchange.cli._run_replication", recording)
+        parent = ",".join(map(str, sorted(os.sched_getaffinity(0))))
         assert main(_replicate_b(tmp_path / "reps")) == EXIT_OK
         records = [(tmp_path / f"mask{rep}").read_text().split() for rep in range(4)]
-        parent = ",".join(map(str, sorted(os.sched_getaffinity(0))))
         assert [mask for _, mask in records] == [parent] * 4
         assert {pid for pid, _ in records[0::2]} == {str(os.getpid())}
         assert str(os.getpid()) not in {pid for pid, _ in records[1::2]}
@@ -420,11 +421,14 @@ class TestForkedBatch:
         def interrupted(payload):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
+            time.sleep(60)  # only the kill ends the child's share in time
             return run(payload)
 
         monkeypatch.setattr("seppchange.cli._run_replication", interrupted)
+        t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             main(_replicate_b(tmp_path / "reps"))
+        assert time.perf_counter() - t0 < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert gc.get_freeze_count() == 0
