@@ -15,6 +15,7 @@ from seppchange.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
+    _start_on,
     main,
     read_counts_csv,
     read_event_csv,
@@ -369,6 +370,16 @@ def _replicate_b(out, reps=4, jobs=2):
             "-o", str(out)]
 
 
+def test_spread_worker_cycles_through_the_cpus(monkeypatch):
+    # process k starts on cpus[k % n], then gets the whole list back
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))),
+                        raising=False)
+    for k in range(3):
+        _start_on([3, 5], k)
+    assert calls == [(0, {3}), (0, {3, 5}), (0, {5}), (0, {3, 5}), (0, {3}), (0, {3, 5})]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
 class TestSpreadPool:
     def test_replicate_keeps_the_parent_mask(self, tmp_path):
@@ -378,7 +389,7 @@ class TestSpreadPool:
         assert os.sched_getaffinity(0) == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-    def test_every_replication_runs_on_the_full_mask(self, tmp_path, monkeypatch):
+    def test_workers_get_the_full_mask_back(self, tmp_path, monkeypatch):
         # each process is moved once at start; no pin outlives the move
         run = seppchange.cli._run_replication
 
