@@ -11,11 +11,11 @@ File formats are stable and versioned:
 
 All randomness flows from ``--seed``; replications derive per-index
 counter-based substreams, so ``--jobs N`` changes wall time, never results.
-``replicate --jobs N`` splits the batch into ``min(N, reps)`` shares: the
-command process runs one, and a forked child each of the others (in process
-alone when that is below 2, or where the platform cannot fork).  Each process
-starts on its own CPU of the command's affinity mask, then may run on any of
-them.
+``replicate`` builds its scenario and detect options once, then splits the
+batch into ``min(N, reps)`` shares for ``--jobs N`` (one share where the
+platform cannot fork): the command process runs one, and a forked child each
+of the others.  Each process starts on its own CPU of the command's affinity
+mask, then may run on any of them.
 Exit codes: 0 success, 1 usage, 2 data error, 3 solver hard failure,
 4 partial replication failure.
 
@@ -66,7 +66,8 @@ TRUTH_SCHEMA_VERSION = 2
 # Version 4: the cache object counts the costs the bound alone screened
 # (``bounded``); ``options`` drops ``cache_policy`` and ``cache_capacity``, and
 # ``model`` drops ``memory``.
-REPORT_SCHEMA_VERSION = 4
+# Version 5: ``options`` drops the solver constants ``beta`` and ``init_step``.
+REPORT_SCHEMA_VERSION = 5
 OUTDIR_ENV = "SEPPCHANGE_OUTDIR"
 
 EXIT_OK = 0
@@ -243,8 +244,6 @@ def report_json(series: EventSeries, config: ModelConfig, rep, manifest: dict) -
             "grid": opts.grid,
             "tol": opts.solver.tol,
             "max_iter": opts.solver.max_iter,
-            "beta": opts.solver.beta,
-            "init_step": opts.solver.init_step,
         },
         "model": {"v": config.v, "clip": config.clip},
         "cache": rep.cache_stats,
@@ -320,19 +319,19 @@ def cmd_simulate(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _detect_options(fields, T: int, M: int) -> DetectOptions:
-    """Detect options from a mapping of the tuning flags; None takes the default tuning."""
-    lam, gamma = fields["lam"], fields["gamma"]
+def _detect_options(args, T: int, M: int) -> DetectOptions:
+    """Detect options from the tuning flags; None takes the default tuning."""
+    lam, gamma = args.lam, args.gamma
     if lam is None or gamma is None:
-        d_lam, d_gamma = default_tuning(T, M, base=fields["log_base"])
+        d_lam, d_gamma = default_tuning(T, M, base=args.log_base)
         lam = d_lam if lam is None else lam
         gamma = d_gamma if gamma is None else gamma
     return DetectOptions(
         lam=lam,
         gamma=gamma,
-        min_segment=fields["min_segment"],
-        grid=fields["grid"],
-        solver=SolverOptions(tol=fields["tol"], max_iter=fields["max_iter"]),
+        min_segment=args.min_segment,
+        grid=args.grid,
+        solver=SolverOptions(tol=args.tol, max_iter=args.max_iter),
     )
 
 
@@ -364,7 +363,7 @@ def cmd_detect(args, argv: list[str]) -> int:
     if clip is None:
         raise ValueError("clip not given and no truth.json sidecar found")
     config = ModelConfig(v=v, clip=clip)
-    opts = _detect_options(vars(args), series.T, series.M)
+    opts = _detect_options(args, series.T, series.M)
     report = detect(series, config, opts)
     out = args.output or os.path.join(os.environ.get(OUTDIR_ENV, "."), "report.json")
     _dump_json(
@@ -411,40 +410,15 @@ def _read_cps_csv(path: str) -> list[int]:
     return points
 
 
-def _replication_payload(args, rep: int) -> dict:
-    return {
-        "setting": args.setting,
-        "rho": getattr(args, "rho", None),
-        "T": getattr(args, "T", None),
-        "M": getattr(args, "M", None),
-        "seed": args.seed,
-        "rep": rep,
-        "lam": args.lam,
-        "gamma": args.gamma,
-        "min_segment": args.min_segment,
-        "grid": args.grid,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "log_base": args.log_base,
-    }
-
-
-def _run_replication(payload: dict) -> dict:
-    spec = ScenarioSpec(
-        kind=payload["setting"],
-        rho=payload["rho"],
-        T=payload["T"],
-        M=payload["M"],
-        seed=payload["seed"],
-    )
-    seq, config, T = build_scenario(spec)
-    series = generate_series(seq, config, T, seed=payload["seed"], replication=payload["rep"])
-    opts = _detect_options(payload, T, series.M)
+def _run_replication(batch: tuple, rep: int) -> dict:
+    """Replication ``rep`` of ``batch`` = (seq, config, T, opts, seed): simulate, detect, evaluate."""
+    seq, config, T, opts, seed = batch
+    series = generate_series(seq, config, T, seed=seed, replication=rep)
     t0 = time.perf_counter()
     report = detect(series, config, opts)
     result = evaluate(report.change_points.points, seq.change_points, T)
     return {
-        "rep": payload["rep"],
+        "rep": rep,
         "hausdorff": result.hausdorff,
         "flagged": int(result.flagged),
         "k_error": result.k_error,
@@ -475,11 +449,12 @@ def _start_on(cpus: list[int], k: int) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, str | None]]:
-    """``_run_replication_safe`` of each payload, in order, on ``workers`` processes.
+def _forked_map(batch: tuple, reps: int, workers: int) -> list[tuple[dict | None, str | None]]:
+    """``_run_replication_safe`` of replications 0, ..., ``reps`` - 1 of ``batch``, in order.
 
     This process and ``workers - 1`` forked children each run one share: share
-    k holds the payloads k, k + W, k + 2W, ... for W = ``workers``.  Child k
+    k holds the replications k, k + W, k + 2W, ... for W = ``workers`` >= 1,
+    so one share forks no child and runs the whole batch here.  Child k
     starts on the k-th CPU of this process's mask and this process on the
     first (``_start_on``).  Each child sends its share's results back as one
     pickled list through its own pipe and leaves through ``os._exit``, so
@@ -504,7 +479,7 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
     import numpy.random  # noqa: F401
 
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    results: list = [None] * len(payloads)
+    results: list = [None] * reps
     children: dict = {}  # pid -> (share, read end of its pipe)
     sys.stdout.flush()
     sys.stderr.flush()
@@ -519,8 +494,8 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
                 try:
                     os.close(read_end)
                     _start_on(cpus, k)
-                    share = [(i, _run_replication_safe(payloads[i]))
-                             for i in range(k, len(payloads), workers)]
+                    share = [(i, _run_replication_safe(batch, i))
+                             for i in range(k, reps, workers)]
                     with os.fdopen(write_end, "wb") as fh:
                         pickle.dump(share, fh, protocol=pickle.HIGHEST_PROTOCOL)
                     code = 0
@@ -528,8 +503,8 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
                     os._exit(code)
             os.close(write_end)
             children[pid] = (k, os.fdopen(read_end, "rb"))
-        for i in range(0, len(payloads), workers):
-            results[i] = _run_replication_safe(payloads[i])
+        for i in range(0, reps, workers):
+            results[i] = _run_replication_safe(batch, i)
         for pid, (k, pipe) in list(children.items()):
             data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -540,7 +515,7 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
                     results[i] = result
             else:
                 err = f"worker {k} exited with status {os.waitstatus_to_exitcode(status)}"
-                for i in range(k, len(payloads), workers):
+                for i in range(k, reps, workers):
                     results[i] = (None, err)
     finally:
         for pid, (_, pipe) in children.items():
@@ -554,35 +529,29 @@ def _forked_map(payloads: list[dict], workers: int) -> list[tuple[dict | None, s
 def cmd_replicate(args, argv: list[str]) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    # The batch is built once, so a bad scenario fails here, before any
+    # output or child exists, and warns once.
+    seq, config, T = build_scenario(_scenario_spec(args))
+    batch = (seq, config, T, _detect_options(args, T, seq.M), args.seed)
     out = _outdir(args)
-    payloads = [_replication_payload(args, rep) for rep in range(args.reps)]
-    rows: list[dict] = []
-    failures: list[tuple[int, str]] = []
-    workers = min(args.jobs, len(payloads))
-    if workers > 1 and hasattr(os, "fork"):
-        # One share of the batch runs in this process, the others in forked
-        # children (`_forked_map`).  Each share starts on its own CPU.  Forked
-        # processes start on the parent's CPU, and on a 2-vCPU x86-64 host two
-        # forked workers stayed there for a whole 16-replication batch: a
-        # replication took 10-14 ms of wall time for 6-7 ms of CPU time, and
-        # --jobs 2 ran slower than --jobs 1.  Each process gets the full mask
-        # back at once, so the scheduler can still move it off a CPU that
-        # other work keeps busy; a lasting pin measured no faster.
-        results = _forked_map(payloads, workers)
-    else:
-        results = [_run_replication_safe(payload) for payload in payloads]
-    for payload, (row, err) in zip(payloads, results):
-        if err is None:
-            rows.append(row)
-        else:
-            failures.append((payload["rep"], err))
+    # One share of the batch runs in this process, the others in forked
+    # children (`_forked_map`).  Each share starts on its own CPU.  Forked
+    # processes start on the parent's CPU, and on a 2-vCPU x86-64 host two
+    # forked workers stayed there for a whole 16-replication batch: a
+    # replication took 10-14 ms of wall time for 6-7 ms of CPU time, and
+    # --jobs 2 ran slower than --jobs 1.  Each process gets the full mask
+    # back at once, so the scheduler can still move it off a CPU that
+    # other work keeps busy; a lasting pin measured no faster.
+    workers = max(1, min(args.jobs, args.reps)) if hasattr(os, "fork") else 1
+    results = _forked_map(batch, args.reps, workers)
+    rows = [row for row, err in results if err is None]
+    failures = [(rep, err) for rep, (_, err) in enumerate(results) if err is not None]
 
     rep_path = os.path.join(out, "replications.csv")
     with open(rep_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_REP_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for row in sorted(rows, key=lambda r: r["rep"]):
-            writer.writerow(row)
+        writer.writerows(rows)
 
     param = {"a": args.rho, "b": args.T, "c": args.M}.get(args.setting)
     summary_path = os.path.join(out, "summary.csv")
@@ -638,9 +607,9 @@ def cmd_replicate(args, argv: list[str]) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def _run_replication_safe(payload: dict) -> tuple[dict | None, str | None]:
+def _run_replication_safe(batch: tuple, rep: int) -> tuple[dict | None, str | None]:
     try:
-        return _run_replication(payload), None
+        return _run_replication(batch, rep), None
     except Exception as exc:  # noqa: BLE001 - replication failures are recorded
         return None, f"{type(exc).__name__}: {exc}"
 

@@ -80,7 +80,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -371,9 +371,8 @@ def _refit_segments(
     opts: DetectOptions,
     partition: list[Interval],
 ) -> tuple[SegmentFit, ...]:
-    solver = replace(opts.solver, init=None)
     return tuple(
-        fit_interval(series, _window(b.start, b.end), opts.lam, config, solver)
+        fit_interval(series, _window(b.start, b.end), opts.lam, config, opts.solver)
         for b in partition
     )
 

@@ -80,6 +80,10 @@ _HESSIAN_ROWS = 8
 # Floats per rows x rungs x transitions temporary of a line search (128 KB);
 # unchunked, two of them would reach 2.3 MB at 40 units and 450 transitions.
 _LADDER_FLOATS = 1 << 14
+# A row's first gradient trial size, doubled before each gradient step and
+# shrunk by _BETA per rung of its backtracking.
+_INIT_STEP = 1.0
+_BETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,11 @@ class SolverOptions:
     ``tol`` is the relative objective decrease below which a proximal
     gradient step stops its row; a Newton step is taken only if it lowers
     the row's objective by more than that.  ``max_iter`` caps the steps per
-    row, Newton and gradient steps alike.  ``init`` is an optional warm-start
-    matrix (None starts from zero).  ``init_step`` is the first trial size of
-    the gradient step, doubled before each gradient step and refined by
-    backtracking with shrink factor ``beta``.
+    row, Newton and gradient steps alike.
     """
 
     tol: float = 1e-8
     max_iter: int = 5000
-    init: np.ndarray | None = None
-    beta: float = 0.5
-    init_step: float = 1.0
     track_history: bool = False
 
     def __post_init__(self) -> None:
@@ -107,10 +105,6 @@ class SolverOptions:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not self.init_step > 0:
-            raise ValueError("init_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -409,10 +403,10 @@ def _newton_step(state, rows, grad, g, xp, v, thr, tol):
     return took
 
 
-def _gradient_step(state, rows, grad, steps, g, xp, v, thr, beta):
+def _gradient_step(state, rows, grad, steps, g, xp, v, thr):
     """One backtracking proximal-gradient step on each of ``rows``.
 
-    The trial step doubles first and then shrinks by ``beta`` until the
+    The trial step doubles first and then shrinks by ``_BETA`` until the
     quadratic upper bound holds; the row keeps the accepted step size.  As
     in ``_newton_step``, the ladder of step sizes is tried in rung batches,
     and each row takes its first accepted rung.  Updates ``state`` in place.
@@ -426,7 +420,7 @@ def _gradient_step(state, rows, grad, steps, g, xp, v, thr, beta):
         K = hi - lo
         r = rows[pend]
         # the rungs' step sizes, shrunk one multiplication at a time
-        ladder = np.full((pend.size, K), beta)
+        ladder = np.full((pend.size, K), _BETA)
         ladder[:, 0] = steps[r]
         ladder = np.cumprod(ladder, axis=1)
         st = ladder.ravel()
@@ -448,7 +442,7 @@ def _gradient_step(state, rows, grad, steps, g, xp, v, thr, beta):
         first = _take_first(state, r, cand, norm, accept, g, xp, v, thr)
         got = first >= 0
         steps[r[got]] = ladder[got, first[got]]
-        steps[r[~got]] = ladder[~got, -1] * beta
+        steps[r[~got]] = ladder[~got, -1] * _BETA
         pend = pend[~got]
     if pend.size:
         raise SolverFailure("backtracking line search failed to make progress")
@@ -489,7 +483,7 @@ def _fit_kernel(
         raise SolverFailure("non-finite objective at the starting point")
     obj_rows = f_rows + thr * np.abs(A).sum(axis=1)
     state = (A, ez, f_rows, obj_rows)
-    steps = np.full(m, opts.init_step)
+    steps = np.full(m, _INIT_STEP)
     iters = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     history = [float(obj_rows.sum())] if opts.track_history else None
@@ -503,7 +497,7 @@ def _fit_kernel(
         if np.any(rest):
             rows = active[rest]
             before = obj_rows[rows]
-            _gradient_step(state, rows, grad[rest], steps, g, xp, v, thr, opts.beta)
+            _gradient_step(state, rows, grad[rest], steps, g, xp, v, thr)
             after = obj_rows[rows]
             done = before - after <= opts.tol * np.maximum(1.0, np.abs(after))
             if np.any(done):
@@ -529,10 +523,13 @@ def fit_interval(
     lam: float,
     config: ModelConfig,
     opts: SolverOptions = SolverOptions(),
+    *,
+    init: np.ndarray | None = None,
 ) -> SegmentFit:
     """Minimize the penalized interval likelihood over the stability constraint.
 
-    The penalty is lam * sqrt(|I|) * ||A||_1, counted once per interval.  Rows
+    The penalty is lam * sqrt(|I|) * ||A||_1, counted once per interval.  The
+    fit starts from ``init``, a warm-start matrix, or from zero if None.  Rows
     that hit ``max_iter`` are returned as-is with their ``converged`` flag
     cleared; this is a soft failure so that partition scans stay total.
     """
@@ -540,9 +537,7 @@ def fit_interval(
         raise ValueError("lam must be >= 0")
     g, xp = _slice(series, interval, config)
     thr = lam * np.sqrt(interval.length)
-    A, f_rows, iters, converged, history = _fit_kernel(
-        g, xp, config.v, thr, opts, opts.init
-    )
+    A, f_rows, iters, converged, history = _fit_kernel(g, xp, config.v, thr, opts, init)
     nll_total = float(f_rows.sum())
     cost = nll_total + thr * float(np.abs(A).sum())
     return SegmentFit(

@@ -4,7 +4,16 @@ import time
 
 import numpy as np
 
-from seppchange import CoefficientSequence, CostCache, ModelConfig, generate_series
+from seppchange import (
+    CoefficientSequence,
+    CostCache,
+    DetectOptions,
+    ModelConfig,
+    ScenarioSpec,
+    build_scenario,
+    default_tuning,
+    generate_series,
+)
 from seppchange.cli import _forked_map
 from seppchange.detect import _cost_rows, _grid_points, _report
 
@@ -45,28 +54,12 @@ def random_instance(rng, T=None, m=None):
 
 def run_setting_a_batch(rho, reps, seed, grid=1):
     """Simulate-detect-evaluate replications of setting (a) at default tuning, on two processes."""
-    payloads = [
-        {
-            "setting": "a",
-            "rho": rho,
-            "T": None,
-            "M": None,
-            "seed": seed,
-            "rep": rep,
-            "lam": None,
-            "gamma": None,
-            "min_segment": 2,
-            "grid": grid,
-            "tol": 1e-8,
-            "max_iter": 5000,
-            "log_base": float(np.e),
-        }
-        for rep in range(reps)
-    ]
+    seq, config, T = build_scenario(ScenarioSpec(kind="a", rho=rho, seed=seed))
+    batch = (seq, config, T, DetectOptions(*default_tuning(T, seq.M), grid=grid), seed)
     rows = []
-    for payload, (row, err) in zip(payloads, _forked_map(payloads, 2)):
+    for rep, (row, err) in enumerate(_forked_map(batch, reps, 2)):
         if err is not None:
-            raise RuntimeError(f"replication {payload['rep']} failed: {err}")
+            raise RuntimeError(f"replication {rep} failed: {err}")
         rows.append(row)
     return rows
 

@@ -344,10 +344,10 @@ class TestReplicateCommand:
 
     def test_one_rep_runs_in_process(self, tmp_path, monkeypatch):
         # min(jobs, reps) shares: one replication forks no child
-        def no_fork(payloads, workers):
-            raise AssertionError(f"split one replication over {workers} processes")
+        def no_fork():
+            raise AssertionError("forked for one replication")
 
-        monkeypatch.setattr("seppchange.cli._forked_map", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
         out = tmp_path / "reps"
         code = main(["replicate", "--setting", "b", "--T", "12", "--reps", "1", "--seed", "5",
                      "--gamma", "2.0", "--lambda", "5.0", "--max-iter", "300",
@@ -362,6 +362,30 @@ class TestReplicateCommand:
         assert code == EXIT_OK
         for name in ("replications.csv", "summary.csv"):
             assert len((out / name).read_text().splitlines()) == 1
+
+    def test_missing_rho_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the batch is built before any output or child exists
+        def no_fork():
+            raise AssertionError("forked for a batch that cannot be built")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        out = tmp_path / "reps"
+        code = main(["replicate", "--setting", "a", "--reps", "2", "--jobs", "2", "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert "rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_off_grid_rho_warns_once_per_batch(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seppchange.cli", "replicate", "--setting", "a",
+             "--rho", "0.17", "--reps", "4", "--jobs", "2", "--grid", "30",
+             "-o", str(tmp_path / "reps")],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.count("outside the canonical grid") == 1
 
 
 def _replicate_b(out, reps=4, jobs=2):
@@ -393,10 +417,10 @@ class TestSpreadPool:
         # each process is moved once at start; no pin outlives the move
         run = seppchange.cli._run_replication
 
-        def recording(payload):
+        def recording(batch, rep):
             mask = ",".join(map(str, sorted(os.sched_getaffinity(0))))
-            (tmp_path / f"mask{payload['rep']}").write_text(f"{os.getpid()} {mask}")
-            return run(payload)
+            (tmp_path / f"mask{rep}").write_text(f"{os.getpid()} {mask}")
+            return run(batch, rep)
 
         monkeypatch.setattr("seppchange.cli._run_replication", recording)
         parent = ",".join(map(str, sorted(os.sched_getaffinity(0))))
@@ -412,10 +436,10 @@ class TestForkedBatch:
     def test_dead_child_fails_its_share_only(self, tmp_path, monkeypatch, capsys):
         run, parent = seppchange.cli._run_replication, os.getpid()
 
-        def dying(payload):
-            if payload["rep"] == 1 and os.getpid() != parent:
+        def dying(batch, rep):
+            if rep == 1 and os.getpid() != parent:
                 os._exit(9)
-            return run(payload)
+            return run(batch, rep)
 
         monkeypatch.setattr("seppchange.cli._run_replication", dying)
         out = tmp_path / "reps"
@@ -429,11 +453,11 @@ class TestForkedBatch:
     def test_no_child_outlives_an_interrupt(self, tmp_path, monkeypatch):
         run, parent = seppchange.cli._run_replication, os.getpid()
 
-        def interrupted(payload):
+        def interrupted(batch, rep):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)  # only the kill ends the child's share in time
-            return run(payload)
+            return run(batch, rep)
 
         monkeypatch.setattr("seppchange.cli._run_replication", interrupted)
         t0 = time.perf_counter()

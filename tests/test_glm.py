@@ -315,7 +315,8 @@ class TestFitInterval:
             interval,
             1.0,
             config,
-            SolverOptions(tol=1e-10, init=random_feasible_matrix(rng, 3)),
+            SolverOptions(tol=1e-10),
+            init=random_feasible_matrix(rng, 3),
         )
         assert warm.cost == pytest.approx(cold.cost, rel=1e-6)
 
@@ -456,7 +457,7 @@ class TestNewtonSolver:
         prev = fit_interval(series, Interval(1, 120), 400.0, config)
         cold = fit_interval(series, Interval(1, 150), 400.0, config)
         warm = fit_interval(
-            series, Interval(1, 150), 400.0, config, SolverOptions(init=prev.matrix)
+            series, Interval(1, 150), 400.0, config, init=prev.matrix
         )
         assert cold.converged.all() and warm.converged.all()
         assert warm.cost == pytest.approx(cold.cost, rel=1e-8)
@@ -517,7 +518,7 @@ class TestNewtonSolver:
             return first
 
         monkeypatch.setattr(glm, "_take_first", recording_take_first)
-        fit_interval(series, interval, lam, config, SolverOptions(init=init, max_iter=1))
+        fit_interval(series, interval, lam, config, SolverOptions(max_iter=1), init=init)
         rungs, row = first_newton[0]  # the first rung batch: alpha = 1 alone
         assert rungs[2] == 0
         assert row[3] == 0.0
@@ -535,7 +536,7 @@ class TestNewtonSolver:
         init = None
         if warm_from is not None:
             init = fit_interval(series, Interval(window[0], warm_from), lam, config).matrix
-        fit = fit_interval(series, interval, lam, config, SolverOptions(init=init))
+        fit = fit_interval(series, interval, lam, config, init=init)
         ref = fit_interval(series, interval, lam, config, SolverOptions(tol=1e-13))
         assert fit.converged.all()
         assert fit.cost == pytest.approx(ref.cost, rel=1e-7, abs=0)
@@ -572,7 +573,7 @@ class TestNewtonSolver:
         # From the [1, 120] fit, one gradient step on [1, 150] whose first
         # trial is 2 ** 12, so that rows backtrack past several rung batches.
         series, config = benchmark_series
-        interval, lam, beta = Interval(1, 150), 400.0, 0.5
+        interval, lam = Interval(1, 150), 400.0
         g, xp = glm._slice(series, interval, config)
         thr = lam * np.sqrt(interval.length)
         A0 = fit_interval(series, Interval(1, 120), lam, config).matrix.copy()
@@ -582,7 +583,7 @@ class TestNewtonSolver:
         rows = np.arange(series.M)
         state = (A0.copy(), np.exp(z), f0.copy(), f0 + thr * np.abs(A0).sum(axis=1))
         steps = np.full(series.M, 2.0**11)
-        glm._gradient_step(state, rows, grad, steps, g, xp, config.v, thr, beta)
+        glm._gradient_step(state, rows, grad, steps, g, xp, config.v, thr)
 
         want_A, want_steps = np.empty_like(A0), np.empty(series.M)
         for i in rows:
@@ -595,7 +596,7 @@ class TestNewtonSolver:
                 quad = f0[i] + grad[i] @ diff + diff @ diff / (2.0 * st)
                 if fc <= quad + 1e-12 * max(1.0, abs(f0[i])):
                     break
-                st *= beta
+                st *= glm._BETA
             want_A[i], want_steps[i] = cand, st
         assert np.log2(2.0**12 / want_steps).max() > 8
         np.testing.assert_array_equal(steps, want_steps)
