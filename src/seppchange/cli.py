@@ -411,7 +411,10 @@ def _read_cps_csv(path: str) -> list[int]:
 
 
 def _run_replication(batch: tuple, rep: int) -> dict:
-    """Replication ``rep`` of ``batch`` = (seq, config, T, opts, seed): simulate, detect, evaluate."""
+    """Simulate, detect and evaluate replication ``rep`` of a batch.
+
+    ``batch`` is (seq, config, T, opts, seed), built once by ``cmd_replicate``.
+    """
     seq, config, T, opts, seed = batch
     series = generate_series(seq, config, T, seed=seed, replication=rep)
     t0 = time.perf_counter()
